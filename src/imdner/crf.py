@@ -14,10 +14,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .corpus import LabelSet
-from .errors import NumericError, ValidationError
+from .errors import ValidationError, check_finite
 
-# Soft -inf: large enough to kill a transition at decode time, small enough
-# to keep exp()/gradients finite.
+# Soft -inf of the public bio_transition_mask: large enough to kill a
+# transition, small enough to keep exp()/gradients finite. Decoding (masked)
+# turns it into a true -inf so no emission can beat it.
 MASK_SCORE = -1e4
 
 
@@ -43,18 +44,19 @@ class PathScore:
     score: float
 
 
-def _check_finite(arr, stage):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {stage}")
-
-
 def path_score(emissions: np.ndarray, crf: CrfParams, tags) -> float:
     """Unnormalized log-score of one tag sequence."""
-    tags = list(tags)
+    tags = np.asarray(list(tags), dtype=int)
     s = crf.start_scores[tags[0]] + crf.end_scores[tags[-1]]
-    s += sum(emissions[t, y] for t, y in enumerate(tags))
-    s += sum(crf.transitions[tags[t - 1], tags[t]] for t in range(1, len(tags)))
+    s += emissions[np.arange(len(tags)), tags].sum()
+    s += crf.transitions[tags[:-1], tags[1:]].sum()
     return float(s)
+
+
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) along axis, shifted by the max for stability."""
+    m = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
 def _forward_alphas(emissions, crf):
@@ -62,7 +64,7 @@ def _forward_alphas(emissions, crf):
     alpha = np.empty_like(emissions)
     alpha[0] = crf.start_scores + emissions[0]
     for t in range(1, T):
-        alpha[t] = emissions[t] + logsumexp(alpha[t - 1][:, None] + crf.transitions, axis=0)
+        alpha[t] = emissions[t] + _logsumexp(alpha[t - 1][:, None] + crf.transitions, axis=0)
     return alpha
 
 
@@ -71,16 +73,23 @@ def _backward_betas(emissions, crf):
     beta = np.empty_like(emissions)
     beta[T - 1] = crf.end_scores
     for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(crf.transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+        beta[t] = _logsumexp(crf.transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
     return beta
+
+
+def _forward_backward(emissions, crf):
+    """(alpha, beta, log Z), shared by marginals and nll_gradients."""
+    alpha = _forward_alphas(emissions, crf)
+    beta = _backward_betas(emissions, crf)
+    return alpha, beta, _logsumexp(alpha[-1] + crf.end_scores)
 
 
 def log_partition(emissions: np.ndarray, crf: CrfParams) -> float:
     """log sum over all tag sequences of exp(path score)."""
-    _check_finite(emissions, "emissions")
-    _check_finite(crf.transitions, "transitions")
+    check_finite(emissions, "emissions")
+    check_finite(crf.transitions, "transitions")
     alpha = _forward_alphas(emissions, crf)
-    return float(logsumexp(alpha[-1] + crf.end_scores))
+    return float(_logsumexp(alpha[-1] + crf.end_scores))
 
 
 def nll(emissions: np.ndarray, crf: CrfParams, gold_tags) -> float:
@@ -95,9 +104,7 @@ def nll(emissions: np.ndarray, crf: CrfParams, gold_tags) -> float:
 
 def marginals(emissions: np.ndarray, crf: CrfParams) -> np.ndarray:
     """Per-position tag probabilities via forward-backward; rows sum to 1."""
-    alpha = _forward_alphas(emissions, crf)
-    beta = _backward_betas(emissions, crf)
-    log_z = logsumexp(alpha[-1] + crf.end_scores)
+    alpha, beta, log_z = _forward_backward(emissions, crf)
     m = np.exp(alpha + beta - log_z)
     # Normalize away residual rounding so rows sum to 1 tightly.
     return m / m.sum(axis=1, keepdims=True)
@@ -109,40 +116,35 @@ def nll_gradients(emissions: np.ndarray, crf: CrfParams, gold_tags):
     d/d emissions = marginals - onehot(gold)
     d/d transitions = expected pairwise counts - observed counts
     """
-    T, K = emissions.shape
-    gold_tags = list(gold_tags)
-    alpha = _forward_alphas(emissions, crf)
-    beta = _backward_betas(emissions, crf)
-    log_z = logsumexp(alpha[-1] + crf.end_scores)
-    value = float(log_z) - path_score(emissions, crf, gold_tags)
+    T = emissions.shape[0]
+    gold = np.asarray(gold_tags)
+    alpha, beta, log_z = _forward_backward(emissions, crf)
+    value = float(log_z) - path_score(emissions, crf, gold)
 
     marg = np.exp(alpha + beta - log_z)
     d_emis = marg.copy()
-    for t, y in enumerate(gold_tags):
-        d_emis[t, y] -= 1.0
+    d_emis[np.arange(T), gold] -= 1.0
 
-    d_trans = np.zeros((K, K))
-    for t in range(T - 1):
-        pair = np.exp(
-            alpha[t][:, None]
-            + crf.transitions
-            + (emissions[t + 1] + beta[t + 1])[None, :]
-            - log_z
-        )
-        d_trans += pair
-    for t in range(1, T):
-        d_trans[gold_tags[t - 1], gold_tags[t]] -= 1.0
+    # Expected pairwise counts of all T-1 transitions at once: (T-1, K, K).
+    pair = np.exp(
+        alpha[:-1, :, None]
+        + crf.transitions
+        + (emissions[1:] + beta[1:])[:, None, :]
+        - log_z
+    )
+    d_trans = pair.sum(axis=0)
+    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
 
     d_start = marg[0].copy()
-    d_start[gold_tags[0]] -= 1.0
+    d_start[gold[0]] -= 1.0
     d_end = marg[-1].copy()
-    d_end[gold_tags[-1]] -= 1.0
+    d_end[gold[-1]] -= 1.0
     return value, d_emis, d_trans, d_start, d_end
 
 
 def viterbi(emissions: np.ndarray, crf: CrfParams) -> PathScore:
     """Maximum-score tag sequence; ties resolved toward the lowest index."""
-    _check_finite(emissions, "emissions")
+    check_finite(emissions, "emissions")
     T, K = emissions.shape
     v = crf.start_scores + emissions[0]
     backptr = np.zeros((T, K), dtype=int)
@@ -153,6 +155,8 @@ def viterbi(emissions: np.ndarray, crf: CrfParams) -> PathScore:
     v = v + crf.end_scores
     last = int(np.argmax(v))
     best_score = float(v[last])
+    # An overflow to +inf meets a -inf mask as NaN, which argmax would pick.
+    check_finite(best_score, "Viterbi path score")
     tags = [last]
     for t in range(T - 1, 0, -1):
         tags.append(int(backptr[t, tags[-1]]))
@@ -181,8 +185,12 @@ def bio_transition_mask(labels: LabelSet) -> np.ndarray:
 
 
 def masked(crf: CrfParams, labels: LabelSet) -> CrfParams:
-    """CRF parameters with the hard BIO mask applied (decode-time default)."""
-    mask = bio_transition_mask(labels)
+    """CRF parameters with the hard BIO mask applied, for decoding only.
+
+    Invalid moves score -inf, so Viterbi output is BIO-valid whatever the
+    emissions; the result is not fit for log_partition or gradients.
+    """
+    mask = np.where(bio_transition_mask(labels) < 0, -np.inf, 0.0)
     return CrfParams(
         transitions=crf.transitions + mask[:-1],
         start_scores=crf.start_scores + mask[-1],

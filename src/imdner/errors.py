@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numpy as np
+
 
 class ImdnerError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,6 +45,12 @@ class FormatError(ImdnerError):
 
 class NumericError(ImdnerError):
     """NaN/Inf encountered; names the computation stage."""
+
+
+def check_finite(arr, stage):
+    """Raise NumericError naming `stage` if `arr` holds a NaN or an Inf."""
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"non-finite values in {stage}")
 
 
 class ConfigError(ImdnerError):

@@ -3,16 +3,28 @@
 Forward passes are deterministic (dropout only when a seed is supplied) and
 cache every intermediate needed for the manual backward pass in training.
 All math is float64; parameters live in plain numpy arrays.
+
+Each LSTM direction does its heavy work in a few large GEMMs, with only the
+recurrent matrix-vector product left inside the time loop (input hoisting
+as in Appleyard et al., arXiv:1604.01946):
+
+- forward: the input projection X @ Wx.T + b of all T steps is one GEMM;
+  gates, hidden and cell states are cached as (T, .) arrays;
+- backward: the loop fills the stacked gate gradients dZ (T, 4H); then
+  dWx += dZ.T @ X, dWh += dZ.T @ H_prev, db += sum(dZ) and dX = dZ @ Wx.
+
+The char-CNN gathers every convolution window with one fancy index and
+scatters its embedding gradients back with one np.add.at.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import CharVocab, EmbeddingTable
-from .errors import NumericError, ValidationError
+from .errors import ValidationError, check_finite
 
 MAX_SENTENCE_LEN = 512
 
@@ -107,11 +119,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _check_finite(arr, stage):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {stage}")
-
-
 def dropout_mask(shape, rate: float, seed) -> np.ndarray:
     """Inverted dropout mask: entries are 0 or 1/(1-rate), E[mask] == 1."""
     rng = np.random.default_rng(seed)
@@ -119,27 +126,27 @@ def dropout_mask(shape, rate: float, seed) -> np.ndarray:
     return (rng.random(shape) < keep).astype(float) / keep
 
 
-def _pad_char_indices(text: str, vocab: CharVocab, width: int) -> list[int]:
+def _char_windows(text: str, vocab: CharVocab, width: int) -> np.ndarray:
+    """(P, width) char indices of every convolution window, short tokens padded."""
     idx = vocab.encode(text)
     if len(idx) < width:
         pad = (width - 1) // 2
         idx = [vocab.pad_index] * pad + idx + [vocab.pad_index] * pad
-    return idx
+    n_pos = len(idx) - width + 1
+    return np.asarray(idx)[np.arange(n_pos)[:, None] + np.arange(width)]
 
 
 def char_features_forward(text: str, vocab: CharVocab, params: NetworkParams, config: NetworkConfig):
     """1-D convolution over char embeddings, tanh, max-over-time pooling."""
-    w, f_count, d = config.char_filter_width, config.char_filter_count, config.char_embed_dim
-    idx = _pad_char_indices(text, vocab, w)
-    emb = params.char_embeddings[idx]  # (L, d)
-    n_pos = len(idx) - w + 1
-    windows = np.stack([emb[p: p + w].reshape(-1) for p in range(n_pos)])  # (P, w*d)
+    f_count = config.char_filter_count
+    win_idx = _char_windows(text, vocab, config.char_filter_width)
+    windows = params.char_embeddings[win_idx].reshape(len(win_idx), -1)  # (P, w*d)
     filters_flat = params.conv_filters.reshape(f_count, -1)  # (F, w*d)
     scores = windows @ filters_flat.T + params.conv_bias  # (P, F)
     activ = np.tanh(scores)
     argmax = activ.argmax(axis=0)
     feat = activ[argmax, np.arange(f_count)]
-    cache = {"idx": idx, "windows": windows, "activ": activ, "argmax": argmax}
+    cache = {"win_idx": win_idx, "windows": windows, "activ": activ, "argmax": argmax}
     return feat, cache
 
 
@@ -149,8 +156,8 @@ def char_features(text: str, vocab: CharVocab, params: NetworkParams, config: Ne
 
 
 def char_features_backward(d_feat, cache, params: NetworkParams, config: NetworkConfig, grads):
-    w, f_count, d = config.char_filter_width, config.char_filter_count, config.char_embed_dim
-    activ, argmax, windows, idx = cache["activ"], cache["argmax"], cache["windows"], cache["idx"]
+    f_count, d = config.char_filter_count, config.char_embed_dim
+    activ, argmax, windows, win_idx = cache["activ"], cache["argmax"], cache["windows"], cache["win_idx"]
     d_activ = np.zeros_like(activ)
     d_activ[argmax, np.arange(f_count)] = d_feat
     d_scores = d_activ * (1.0 - activ**2)  # (P, F)
@@ -158,59 +165,65 @@ def char_features_backward(d_feat, cache, params: NetworkParams, config: Network
     grads["conv_filters"] += (d_scores.T @ windows).reshape(params.conv_filters.shape)
     grads["conv_bias"] += d_scores.sum(axis=0)
     d_windows = d_scores @ filters_flat  # (P, w*d)
-    d_emb = np.zeros((len(idx), d))
-    for p in range(d_windows.shape[0]):
-        d_emb[p: p + w] += d_windows[p].reshape(w, d)
-    np.add.at(grads["char_embeddings"], idx, d_emb)
+    np.add.at(grads["char_embeddings"], win_idx.ravel(), d_windows.reshape(-1, d))
 
 
 def _lstm_forward(xs: np.ndarray, blk: LstmBlock, hidden: int):
-    """Unidirectional pass over xs (T, In); returns hidden states and caches."""
+    """Unidirectional pass over xs (T, In); returns hidden states (T, H) and the cache.
+
+    The input projection of all T steps is one GEMM; the recurrence adds
+    only Wh @ h per step. Activated gates are stored as (T, 4, H) in
+    [input, forget, cell, output] order.
+    """
     T = xs.shape[0]
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    hs = np.zeros((T, hidden))
-    caches = []
+    zx = (xs @ blk.wx.T + blk.b).reshape(T, 4, hidden)
+    gates = np.empty((T, 4, hidden))
+    hs = np.zeros((T + 1, hidden))  # hs[t] is the state before step t
+    cs = np.zeros((T + 1, hidden))
+    tanh_cs = np.empty((T, hidden))
     for t in range(T):
-        z = blk.wx @ xs[t] + blk.wh @ h + blk.b
-        i = _sigmoid(z[:hidden])
-        f = _sigmoid(z[hidden: 2 * hidden])
-        g = np.tanh(z[2 * hidden: 3 * hidden])
-        o = _sigmoid(z[3 * hidden:])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        caches.append({"x": xs[t], "h_prev": h, "c_prev": c, "i": i, "f": f, "g": g, "o": o, "tanh_c": tanh_c})
-        h, c = h_new, c_new
-        hs[t] = h
-    return hs, caches
+        z = zx[t] + (blk.wh @ hs[t]).reshape(4, hidden)
+        gt = gates[t]
+        gt[...] = _sigmoid(z)
+        gt[2] = np.tanh(z[2])
+        cs[t + 1] = gt[1] * cs[t] + gt[0] * gt[2]
+        tanh_cs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = gt[3] * tanh_cs[t]
+    cache = {"xs": xs, "hs": hs, "cs": cs, "gates": gates, "tanh_cs": tanh_cs}
+    return hs[1:], cache
 
 
-def _lstm_backward(d_hs: np.ndarray, caches, blk: LstmBlock, hidden: int, prefix: str, grads):
+def _lstm_backward(d_hs: np.ndarray, cache, blk: LstmBlock, hidden: int, prefix: str, grads):
     """BPTT; d_hs (T, H) are gradients on the per-step hidden states.
 
-    Returns gradients on the inputs xs (T, In).
+    The time loop only carries dh/dc through Wh and fills the stacked gate
+    gradients dZ (T, 4H); the weight and input gradients are then three
+    GEMMs over all steps. Returns gradients on the inputs xs (T, In).
     """
     T = d_hs.shape[0]
-    d_xs = np.zeros((T, blk.wx.shape[1]))
+    gates, tanh_cs = cache["gates"], cache["tanh_cs"]
+    i, f, g, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+    # d z / d c for the i, f, g gates and d z / d h for the o gate, per step.
+    coef = np.stack(
+        [g * i * (1.0 - i), cache["cs"][:-1] * f * (1.0 - f), i * (1.0 - g**2), tanh_cs * o * (1.0 - o)],
+        axis=1,
+    )
+    dc_dh = o * (1.0 - tanh_cs**2)
+    d_z = np.empty((T, 4, hidden))
     dh_next = np.zeros(hidden)
     dc_next = np.zeros(hidden)
     for t in range(T - 1, -1, -1):
-        cc = caches[t]
         dh = d_hs[t] + dh_next
-        do = dh * cc["tanh_c"] * cc["o"] * (1.0 - cc["o"])
-        dc = dh * cc["o"] * (1.0 - cc["tanh_c"] ** 2) + dc_next
-        di = dc * cc["g"] * cc["i"] * (1.0 - cc["i"])
-        df = dc * cc["c_prev"] * cc["f"] * (1.0 - cc["f"])
-        dg = dc * cc["i"] * (1.0 - cc["g"] ** 2)
-        dz = np.concatenate([di, df, dg, do])
-        grads[f"{prefix}.wx"] += np.outer(dz, cc["x"])
-        grads[f"{prefix}.wh"] += np.outer(dz, cc["h_prev"])
-        grads[f"{prefix}.b"] += dz
-        d_xs[t] = blk.wx.T @ dz
-        dh_next = blk.wh.T @ dz
-        dc_next = dc * cc["f"]
-    return d_xs
+        dc = dh * dc_dh[t] + dc_next
+        d_z[t, :3] = coef[t, :3] * dc
+        d_z[t, 3] = coef[t, 3] * dh
+        dh_next = blk.wh.T @ d_z[t].reshape(-1)
+        dc_next = dc * f[t]
+    d_z = d_z.reshape(T, -1)
+    grads[f"{prefix}.wx"] += d_z.T @ cache["xs"]
+    grads[f"{prefix}.wh"] += d_z.T @ cache["hs"][:-1]
+    grads[f"{prefix}.b"] += d_z.sum(axis=0)
+    return d_z @ blk.wx
 
 
 def emissions_forward(
@@ -240,7 +253,7 @@ def emissions_forward(
     for t, text in enumerate(token_texts):
         char_feats[t], cc = char_features_forward(text, vocab, params, config)
         char_caches.append(cc)
-    _check_finite(char_feats, "char features")
+    check_finite(char_feats, "char features")
 
     xs = np.concatenate([word_vecs, char_feats], axis=1)
     mask = None
@@ -252,12 +265,12 @@ def emissions_forward(
     hs_fw, cache_fw = _lstm_forward(xs, params.lstm_fw, h)
     hs_bw_rev, cache_bw = _lstm_forward(xs[::-1], params.lstm_bw, h)
     hs_bw = hs_bw_rev[::-1]
-    _check_finite(hs_fw, "forward LSTM")
-    _check_finite(hs_bw, "backward LSTM")
+    check_finite(hs_fw, "forward LSTM")
+    check_finite(hs_bw, "backward LSTM")
 
     hidden = np.concatenate([hs_fw, hs_bw], axis=1)  # (T, 2H)
     emis = hidden @ params.proj_weights + params.proj_bias
-    _check_finite(emis, "projection")
+    check_finite(emis, "projection")
 
     cache = {
         "char_caches": char_caches,
@@ -265,7 +278,6 @@ def emissions_forward(
         "cache_fw": cache_fw,
         "cache_bw": cache_bw,
         "hidden": hidden,
-        "T": T,
     }
     return emis, cache
 

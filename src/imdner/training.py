@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import warnings
+import weakref
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import crf as crf_mod
 from . import network as net_mod
 from .corpus import Document, LabelSet, Sentence, Token, validate_bio
 from .embeddings import CharVocab, EmbeddingTable, build_char_vocab
-from .errors import IntegrityError, UnsupportedVersionError, ValidationError
+from .errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError
 from .evaluation import evaluate
 
 CHECKPOINT_VERSION = 1
@@ -117,7 +118,11 @@ def loss_and_gradients(
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NORM):
+    """Scale grads in place to a global L2 norm of at most max_norm; returns
+    the norm before clipping. A NaN or Inf norm raises NumericError."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if not np.isfinite(total):
+        raise NumericError(f"non-finite gradient norm {total}")
     if total > max_norm:
         factor = max_norm / total
         for g in grads.values():
@@ -141,9 +146,36 @@ def _round_f32(arr: np.ndarray) -> np.ndarray:
     return arr.astype("<f4").astype(np.float64)
 
 
+# Tables made by _round_table, by id; weak, so an entry goes with its table.
+_ROUNDED_TABLES: weakref.WeakValueDictionary[int, EmbeddingTable] = weakref.WeakValueDictionary()
+
+
+def _round_table(table: EmbeddingTable) -> EmbeddingTable:
+    """The table rounded through float32, its vectors rows of one matrix.
+
+    A table that this function made is returned as it is, so rounding the
+    22k frozen vectors happens once per train() run, not once per checkpoint.
+    """
+    if _ROUNDED_TABLES.get(id(table)) is table:
+        return table
+    words = list(table.vectors)
+    matrix = _round_f32(np.array([table.vectors[w] for w in words]).reshape(len(words), table.dim))
+    rounded = EmbeddingTable(
+        dim=table.dim,
+        vectors={w: matrix[i] for i, w in enumerate(words)},
+        unk_vector=_round_f32(table.unk_vector),
+    )
+    _ROUNDED_TABLES[id(rounded)] = rounded
+    return rounded
+
+
 def make_checkpoint(net_params, crf_params, config, labels, vocab, table, metadata=None) -> Checkpoint:
     """Snapshot parameters, rounded through float32 so that on-disk storage
-    reproduces predictions exactly."""
+    reproduces predictions exactly.
+
+    The embeddings are frozen, so a table already rounded by _round_table is
+    shared, not copied: one rounded table serves every checkpoint of a run.
+    """
     net = copy.deepcopy(net_params)
     for _, arr in net.param_items():
         arr[...] = _round_f32(arr)
@@ -152,11 +184,7 @@ def make_checkpoint(net_params, crf_params, config, labels, vocab, table, metada
         start_scores=_round_f32(crf_params.start_scores),
         end_scores=_round_f32(crf_params.end_scores),
     )
-    emb = EmbeddingTable(
-        dim=table.dim,
-        vectors={w: _round_f32(v) for w, v in table.vectors.items()},
-        unk_vector=_round_f32(table.unk_vector),
-    )
+    emb = _round_table(table)
     return Checkpoint(net, crf, config, labels, vocab, emb, metadata=dict(metadata or {}))
 
 
@@ -164,7 +192,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
     tensors = all_param_items(ckpt.network, ckpt.crf)
     words = sorted(ckpt.embeddings.vectors)
     emb_matrix = (
-        np.stack([ckpt.embeddings.vectors[w] for w in words])
+        np.array([ckpt.embeddings.vectors[w] for w in words])
         if words
         else np.zeros((0, ckpt.embeddings.dim))
     )
@@ -335,6 +363,7 @@ def train(
     adam = AdamState(param_dict)
 
     sentences = [s for doc in train_docs for sent in doc.sentences for s in _split_long(sent)]
+    ckpt_table = _round_table(table)
     history: list[EpochRecord] = []
     best_f1 = -1.0
     best_ckpt = None
@@ -347,10 +376,14 @@ def train(
             batch = [sentences[i] for i in order[b_start: b_start + train_config.batch_size]]
             seed = (train_config.seed * 1_000_003 + epoch * 1_009 + b_start) & 0x7FFFFFFF
             dropout_seed = seed if train_config.dropout_rate > 0 else None
-            loss, grads = loss_and_gradients(
-                batch, net_params, crf_params, table, net_config, vocab, labels, seed=dropout_seed
-            )
-            clip_gradients(grads)
+            try:
+                loss, grads = loss_and_gradients(
+                    batch, net_params, crf_params, table, net_config, vocab, labels, seed=dropout_seed
+                )
+                clip_gradients(grads)
+            except NumericError as e:
+                batch_no = b_start // train_config.batch_size + 1
+                raise NumericError(f"epoch {epoch}, batch {batch_no}: {e}") from e
             adam.update(param_dict, grads, train_config)
             losses.append(loss * len(batch))
             counts.append(len(batch))
@@ -359,7 +392,7 @@ def train(
         record = EpochRecord(epoch=epoch, loss=epoch_loss)
         if dev_docs:
             ckpt = make_checkpoint(
-                net_params, crf_params, net_config, labels, vocab, table,
+                net_params, crf_params, net_config, labels, vocab, ckpt_table,
                 metadata={"seed": train_config.seed, "epochs_completed": epoch, "final_loss": epoch_loss},
             )
             pred = predict_documents(ckpt, dev_docs)
@@ -371,7 +404,7 @@ def train(
         history.append(record)
 
     final = make_checkpoint(
-        net_params, crf_params, net_config, labels, vocab, table,
+        net_params, crf_params, net_config, labels, vocab, ckpt_table,
         metadata={"seed": train_config.seed, "epochs_completed": train_config.epochs, "final_loss": history[-1].loss},
     )
     return TrainResult(checkpoint=final, best_checkpoint=best_ckpt or final, history=history)

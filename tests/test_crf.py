@@ -153,15 +153,35 @@ class TestBruteForce:
 
 class TestBioMask:
     def test_masked_decode_is_bio_valid(self):
+        # The -inf mask wins whatever the size of the emissions and parameters.
         labels = LabelSet(("Symptom", "Treatment"))
         rng = np.random.default_rng(12)
         K = labels.num_tags
-        for _ in range(50):
-            emis = rng.normal(size=(rng.integers(1, 8), K)) * 5
-            params = C.CrfParams(rng.normal(size=(K, K)), rng.normal(size=K), rng.normal(size=K))
-            best = C.viterbi(emis, C.masked(params, labels))
-            tags = [labels.tags[i] for i in best.tags]
-            validate_bio(tags, labels)  # raises on violation
+        for scale in (5.0, 1e3, 1e10, 1e50, 1e100):
+            for _ in range(50):
+                emis = rng.normal(size=(rng.integers(1, 8), K)) * scale
+                params = C.CrfParams(*(rng.normal(size=s) * scale for s in ((K, K), K, K)))
+                best = C.viterbi(emis, C.masked(params, labels))
+                tags = [labels.tags[i] for i in best.tags]
+                validate_bio(tags, labels)  # raises on violation
+
+    def test_huge_inside_emission_cannot_beat_the_mask(self):
+        # A soft -1e4 mask loses to a 2e4 emission; decoding must not.
+        labels = LabelSet(("Symptom",))
+        K = labels.num_tags
+        emis = np.zeros((1, K))
+        emis[0, labels.tag_index("I-Symptom")] = 2e4
+        params = C.CrfParams(np.zeros((K, K)), np.zeros(K), np.zeros(K))
+        best = C.viterbi(emis, C.masked(params, labels))
+        assert labels.tags[best.tags[0]] != "I-Symptom"
+
+    def test_overflowing_path_score_is_a_numeric_error(self):
+        labels = LabelSet(("Symptom",))
+        K = labels.num_tags
+        emis = np.full((3, K), 1e308)
+        params = C.CrfParams(np.zeros((K, K)), np.zeros(K), np.zeros(K))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="Viterbi"):
+            C.viterbi(emis, C.masked(params, labels))
 
     def test_mask_blocks_start_with_inside_tag(self):
         labels = LabelSet(("Symptom",))

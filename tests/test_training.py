@@ -5,7 +5,7 @@ from imdner import network as N
 from imdner import training as T
 from imdner.corpus import Document, LabelSet, Sentence, Token
 from imdner.embeddings import CharVocab, EmbeddingTable, build_char_vocab
-from imdner.errors import IntegrityError, UnsupportedVersionError, ValidationError
+from imdner.errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError
 
 
 def small_net_config(labels, word_dim=8, **kw):
@@ -124,6 +124,13 @@ class TestClipping:
         T.clip_gradients(grads, max_norm=5.0)
         assert np.array_equal(grads["a"], [0.1, -0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_raises(self, bad):
+        # NaN > max_norm is False, so a bare comparison would pass NaN on to Adam.
+        grads = {"a": np.array([0.1, bad])}
+        with pytest.raises(NumericError, match="non-finite gradient norm"):
+            T.clip_gradients(grads, max_norm=5.0)
+
 
 class TestTrain:
     def test_history_length_and_determinism(self, toy_corpus, toy_table, labels, tmp_path):
@@ -149,6 +156,52 @@ class TestTrain:
         result = T.train(toy_corpus, toy_corpus[:1], toy_table, config, tc, labels)
         assert all(r.dev_f1 is not None for r in result.history)
         assert result.best_checkpoint is not None
+
+    def test_nan_gradients_stop_training_with_epoch_and_batch(self, toy_corpus, toy_table, labels, monkeypatch):
+        real = T.loss_and_gradients
+        calls = []
+
+        def nan_on_third_batch(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                grads["lstm_fw.wh"][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(T, "loss_and_gradients", nan_on_third_batch)
+        adam_steps = []
+        real_update = T.AdamState.update
+        monkeypatch.setattr(T.AdamState, "update", lambda self, *a: adam_steps.append(1) or real_update(self, *a))
+        tc = T.TrainConfig(epochs=1, batch_size=1, seed=3)
+        with pytest.raises(NumericError, match=r"^epoch 1, batch 3: non-finite gradient norm"):
+            T.train(toy_corpus, [], toy_table, small_net_config(labels), tc, labels)
+        assert len(adam_steps) == 2  # the NaN batch never reached Adam
+
+    def test_non_finite_forward_names_epoch_and_batch(self, toy_corpus, labels):
+        table = EmbeddingTable(8, {"fever": np.full(8, np.nan)})
+        with pytest.raises(NumericError, match=r"^epoch 1, batch \d+: non-finite values in forward LSTM"):
+            T.train(toy_corpus, [], table, small_net_config(labels), T.TrainConfig(epochs=1, seed=3), labels)
+
+    def test_checkpoints_of_one_run_share_one_rounded_table(self, toy_corpus, toy_table, labels):
+        config = small_net_config(labels)
+        result = T.train(toy_corpus, toy_corpus[:1], toy_table, config, T.TrainConfig(epochs=2, seed=5), labels)
+        emb = result.checkpoint.embeddings
+        assert emb is result.best_checkpoint.embeddings
+        assert emb.vectors.keys() == toy_table.vectors.keys()
+        for word, vec in toy_table.vectors.items():
+            assert np.array_equal(emb.vectors[word], vec.astype(np.float32).astype(np.float64))
+
+    def test_make_checkpoint_rounds_a_raw_table(self, toy_table, labels):
+        config = small_net_config(labels)
+        rng = np.random.default_rng(0)
+        vocab = CharVocab(("a",))
+        net = N.init_network_params(config, len(vocab), rng)
+        crf = T.init_crf_params(labels.num_tags, rng)
+        ckpt = T.make_checkpoint(net, crf, config, labels, vocab, toy_table)
+        assert ckpt.embeddings is not toy_table
+        assert T.make_checkpoint(net, crf, config, labels, vocab, ckpt.embeddings).embeddings is ckpt.embeddings
+        for word, vec in toy_table.vectors.items():
+            assert np.array_equal(ckpt.embeddings.vectors[word], vec.astype(np.float32).astype(np.float64))
 
     def test_empty_train_set_rejected(self, toy_table, labels):
         config = small_net_config(labels)

@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from . import evaluation, kgraph, training
 from .corpus import (
-    DOCSTART,
     Document,
     LabelSet,
     corpus_stats,
@@ -36,18 +34,6 @@ def _read(path) -> bytes:
 
 def _parse_corpus(path, labels=None):
     return parse_conll(_read(path), labels, name=Path(path).name)
-
-
-def _corpus_labels(path) -> set[str]:
-    """Entity labels actually used in a CoNLL file (no schema validation)."""
-    labels = set()
-    for line in _read(path).decode("utf-8").split("\n"):
-        if not line.strip() or line == DOCSTART:
-            continue
-        parts = line.split("\t")
-        if len(parts) == 2 and re.match(r"[BI]-", parts[1]):
-            labels.add(parts[1][2:])
-    return labels
 
 
 def _split_config(overrides: dict):
@@ -99,13 +85,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = training.load_checkpoint(args.model)
-    used = _corpus_labels(args.corpus)
-    unknown = used - set(ckpt.label_set.labels)
-    if unknown:
-        raise SchemaError(
-            f"corpus labels {sorted(used)} do not fit checkpoint labels {sorted(ckpt.label_set.labels)}"
-        )
-    gold = _parse_corpus(args.corpus, ckpt.label_set)
+    try:
+        gold = _parse_corpus(args.corpus, ckpt.label_set)
+    except SchemaError as e:
+        raise SchemaError(f"{e}; checkpoint labels are {sorted(ckpt.label_set.labels)}") from e
     pred = training.predict_documents(ckpt, gold)
     report = evaluation.evaluate(gold, pred, ckpt.label_set)
     sys.stdout.write(evaluation.format_report(report))

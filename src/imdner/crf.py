@@ -2,24 +2,20 @@
 
 All arithmetic is log-space float64. Ties in Viterbi are broken toward the
 lowest tag index at every backtracking step, so decoding is deterministic
-and directly comparable with the exhaustive oracle.
+and directly comparable with exhaustive enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import LabelSet
 from .errors import ValidationError, check_finite
 
-# Soft -inf of the public bio_transition_mask: large enough to kill a
-# transition, small enough to keep exp()/gradients finite. Decoding (masked)
-# turns it into a true -inf so no emission can beat it.
-MASK_SCORE = -1e4
+# Score of a move the BIO scheme forbids: no emission can beat it.
+MASK_SCORE = -np.inf
 
 
 @dataclass
@@ -169,19 +165,11 @@ def bio_transition_mask(labels: LabelSet) -> np.ndarray:
     Invalid moves (O -> I-X, B-X -> I-Y, I-X -> I-Y, start -> I-X) get
     MASK_SCORE; everything else 0.
     """
-    tags = labels.tags
-    K = len(tags)
-    mask = np.zeros((K + 1, K))
-    for j, tj in enumerate(tags):
-        if not tj.startswith("I-"):
-            continue
-        label = tj[2:]
-        for i, ti in enumerate(tags):
-            ok = ti == f"B-{label}" or ti == f"I-{label}"
-            if not ok:
-                mask[i, j] = MASK_SCORE
-        mask[K, j] = MASK_SCORE  # cannot start a sentence with I-
-    return mask
+    label = np.array([t[2:] for t in labels.tags])  # "" for O
+    inside = np.array([t.startswith("I-") for t in labels.tags])
+    # I-X may follow only B-X or I-X, the tags that share its label.
+    forbidden = inside & (label[:, None] != label)
+    return np.where(np.vstack([forbidden, inside]), MASK_SCORE, 0.0)
 
 
 def masked(crf: CrfParams, labels: LabelSet) -> CrfParams:
@@ -190,46 +178,9 @@ def masked(crf: CrfParams, labels: LabelSet) -> CrfParams:
     Invalid moves score -inf, so Viterbi output is BIO-valid whatever the
     emissions; the result is not fit for log_partition or gradients.
     """
-    mask = np.where(bio_transition_mask(labels) < 0, -np.inf, 0.0)
+    mask = bio_transition_mask(labels)
     return CrfParams(
         transitions=crf.transitions + mask[:-1],
         start_scores=crf.start_scores + mask[-1],
         end_scores=crf.end_scores.copy(),
     )
-
-
-def brute_force_oracle(emissions: np.ndarray, crf: CrfParams):
-    """Exhaustive enumeration over all num_tags**T paths.
-
-    Returns (log_partition, PathScore, marginals) under the same tie rule as
-    viterbi: among max-score paths, the one minimal in reversed-sequence
-    lexicographic order (which is what lowest-index backtracking yields).
-    """
-    T, K = emissions.shape
-    n_paths = K**T
-    if n_paths > 10**6:
-        raise ValidationError(f"instance too large for brute force: {K}^{T} paths")
-
-    paths = np.array(list(itertools.product(range(K), repeat=T)), dtype=int)
-    scores = crf.start_scores[paths[:, 0]] + crf.end_scores[paths[:, -1]]
-    for t in range(T):
-        scores = scores + emissions[t, paths[:, t]]
-    for t in range(1, T):
-        scores = scores + crf.transitions[paths[:, t - 1], paths[:, t]]
-
-    log_z = float(logsumexp(scores))
-
-    best_i = 0
-    for i in range(1, n_paths):
-        if scores[i] > scores[best_i]:
-            best_i = i
-        elif scores[i] == scores[best_i]:
-            if tuple(paths[i][::-1]) < tuple(paths[best_i][::-1]):
-                best_i = i
-    best = PathScore(tuple(int(y) for y in paths[best_i]), float(scores[best_i]))
-
-    weights = np.exp(scores - log_z)
-    marg = np.zeros((T, K))
-    for t in range(T):
-        np.add.at(marg[t], paths[:, t], weights)
-    return log_z, best, marg

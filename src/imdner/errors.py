@@ -33,14 +33,8 @@ class AlignmentError(ImdnerError):
     """Two corpora that should share tokenization diverge."""
 
 
-class FormatError(ImdnerError):
+class FormatError(ParseError):
     """Malformed embedding file."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class NumericError(ImdnerError):

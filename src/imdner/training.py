@@ -271,13 +271,18 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(net, crf, config, labels, vocab, table, format_version=version, metadata=header.get("metadata", {}))
 
 
-def _split_long(sent: Sentence, limit: int = net_mod.MAX_SENTENCE_LEN) -> list[Sentence]:
-    if len(sent) <= limit:
-        return [sent]
-    warnings.warn(f"splitting a {len(sent)}-token sentence at the {limit}-token boundary")
+def _chunks(n: int) -> list[slice]:
+    """Slices that cut n tokens into pieces the network accepts; warns if it cuts."""
+    limit = net_mod.MAX_SENTENCE_LEN
+    if n > limit:
+        warnings.warn(f"splitting a {n}-token sentence at the {limit}-token boundary")
+    return [slice(i, i + limit) for i in range(0, n, limit)]
+
+
+def _split_long(sent: Sentence) -> list[Sentence]:
     out = []
-    for i in range(0, len(sent), limit):
-        toks = list(sent.tokens[i: i + limit])
+    for piece in _chunks(len(sent)):
+        toks = list(sent.tokens[piece])
         # A chunk may not begin mid-entity; promote a leading I- to B-.
         if toks[0].tag.startswith("I-"):
             toks[0] = Token(toks[0].text, "B-" + toks[0].tag[2:])
@@ -285,29 +290,24 @@ def _split_long(sent: Sentence, limit: int = net_mod.MAX_SENTENCE_LEN) -> list[S
     return out
 
 
-def tag_sentence(texts: list[str], ckpt: Checkpoint, bio_mask: bool = True) -> list[str]:
-    """Predict BIO tags for one token sequence (deterministic, dropout off)."""
+def predict_documents(ckpt: Checkpoint, docs: list[Document]) -> list[Document]:
+    """BIO tags for every sentence (deterministic, dropout off).
+
+    The BIO-masked CRF is built once per call, so every predicted sequence is
+    BIO-valid; a sentence over the network's limit is tagged chunk by chunk.
+    """
+    decode_crf = crf_mod.masked(ckpt.crf, ckpt.label_set)
     tag_names = ckpt.label_set.tags
-    decode_crf = crf_mod.masked(ckpt.crf, ckpt.label_set) if bio_mask else ckpt.crf
-    tags = []
-    limit = net_mod.MAX_SENTENCE_LEN
-    if len(texts) > limit:
-        warnings.warn(f"splitting a {len(texts)}-token sentence at the {limit}-token boundary")
-    for i in range(0, len(texts), limit):
-        chunk = texts[i: i + limit]
-        emis = net_mod.emissions(chunk, ckpt.embeddings, ckpt.network, ckpt.config, ckpt.char_vocab)
-        best = crf_mod.viterbi(emis, decode_crf)
-        tags.extend(tag_names[y] for y in best.tags)
-    return tags
-
-
-def predict_documents(ckpt: Checkpoint, docs: list[Document], bio_mask: bool = True) -> list[Document]:
     out = []
     for doc in docs:
         sentences = []
         for sent in doc.sentences:
-            tags = tag_sentence(sent.texts, ckpt, bio_mask=bio_mask)
-            sentences.append(Sentence(tuple(Token(t, g) for t, g in zip(sent.texts, tags))))
+            texts = sent.texts
+            tags = []
+            for piece in _chunks(len(texts)):
+                emis = net_mod.emissions(texts[piece], ckpt.embeddings, ckpt.network, ckpt.config, ckpt.char_vocab)
+                tags.extend(tag_names[y] for y in crf_mod.viterbi(emis, decode_crf).tags)
+            sentences.append(Sentence(tuple(Token(t, g) for t, g in zip(texts, tags))))
         out.append(Document(doc.id, tuple(sentences)))
     return out
 

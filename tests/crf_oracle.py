@@ -1,0 +1,46 @@
+"""Exhaustive-enumeration oracle for the linear-chain CRF in imdner.crf."""
+
+import itertools
+
+import numpy as np
+from scipy.special import logsumexp
+
+from imdner.crf import CrfParams, PathScore
+from imdner.errors import ValidationError
+
+
+def brute_force_oracle(emissions: np.ndarray, crf: CrfParams):
+    """Exhaustive enumeration over all num_tags**T paths.
+
+    Returns (log_partition, PathScore, marginals) under the same tie rule as
+    viterbi: among max-score paths, the one minimal in reversed-sequence
+    lexicographic order (which is what lowest-index backtracking yields).
+    """
+    T, K = emissions.shape
+    n_paths = K**T
+    if n_paths > 10**6:
+        raise ValidationError(f"instance too large for brute force: {K}^{T} paths")
+
+    paths = np.array(list(itertools.product(range(K), repeat=T)), dtype=int)
+    scores = crf.start_scores[paths[:, 0]] + crf.end_scores[paths[:, -1]]
+    for t in range(T):
+        scores = scores + emissions[t, paths[:, t]]
+    for t in range(1, T):
+        scores = scores + crf.transitions[paths[:, t - 1], paths[:, t]]
+
+    log_z = float(logsumexp(scores))
+
+    best_i = 0
+    for i in range(1, n_paths):
+        if scores[i] > scores[best_i]:
+            best_i = i
+        elif scores[i] == scores[best_i]:
+            if tuple(paths[i][::-1]) < tuple(paths[best_i][::-1]):
+                best_i = i
+    best = PathScore(tuple(int(y) for y in paths[best_i]), float(scores[best_i]))
+
+    weights = np.exp(scores - log_z)
+    marg = np.zeros((T, K))
+    for t in range(T):
+        np.add.at(marg[t], paths[:, t], weights)
+    return log_z, best, marg

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import imdner
 from imdner.cli import main
 
 TINY_CONFIG = {
@@ -199,3 +204,15 @@ class TestKg:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
         assert e.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    src = Path(imdner.__file__).resolve().parent.parent
+    code = "import imdner, imdner.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -213,6 +213,28 @@ class TestTrain:
         with pytest.raises(ValidationError):
             T.train(toy_corpus, [], toy_table, config, T.TrainConfig(epochs=1), labels)
 
+    def test_long_training_sentence_is_split_at_an_entity(self, labels, toy_table, monkeypatch):
+        # Tokens 510-515 are one entity; the 512-token cut falls inside it.
+        tags = ["O"] * 600
+        tags[510] = "B-Symptom"
+        tags[511:516] = ["I-Symptom"] * 5
+        sent = Sentence(tuple(Token("fever" if t != "O" else "the", t) for t in tags))
+        seen = []
+        real = T.loss_and_gradients
+
+        def recording(batch, *args, **kw):
+            seen.extend(batch)
+            return real(batch, *args, **kw)
+
+        monkeypatch.setattr(T, "loss_and_gradients", recording)
+        config = small_net_config(labels)
+        with pytest.warns(UserWarning, match="splitting a 600-token sentence"):
+            T.train([Document("d", (sent,))], [], toy_table, config, T.TrainConfig(epochs=1, seed=1), labels)
+        assert sorted(len(s) for s in seen) == [88, 512]
+        (second,) = [s for s in seen if len(s) == 88]
+        assert second.tags[:4] == ["B-Symptom", "I-Symptom", "I-Symptom", "I-Symptom"]
+        assert second.tags[4:] == ["O"] * 84
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, trained, toy_corpus, tmp_path):
@@ -282,8 +304,26 @@ class TestPredict:
                 validate_bio(sent.tags, labels)
 
     def test_long_sentence_is_split_with_warning(self, trained):
-        _, result = trained
-        texts = ["fever"] * 600
+        labels, result = trained
+        from imdner.corpus import validate_bio
+
+        doc = Document("long", (Sentence(tuple(Token("fever") for _ in range(600))),))
         with pytest.warns(UserWarning, match="splitting"):
-            tags = T.tag_sentence(texts, result.checkpoint)
-        assert len(tags) == 600
+            (pred,) = T.predict_documents(result.checkpoint, [doc])
+        (sent,) = pred.sentences
+        assert sent.texts == ["fever"] * 600
+        validate_bio(sent.tags, labels)
+
+    def test_bio_mask_is_built_once_per_call(self, trained, toy_corpus, monkeypatch):
+        _, result = trained
+        calls = []
+        real = T.crf_mod.masked
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(T.crf_mod, "masked", counting)
+        T.predict_documents(result.checkpoint, toy_corpus)
+        assert sum(len(d.sentences) for d in toy_corpus) > 1
+        assert len(calls) == 1

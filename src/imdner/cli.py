@@ -23,7 +23,7 @@ from .corpus import (
     tokenize_raw,
 )
 from .embeddings import load_embeddings
-from .errors import ImdnerError, SchemaError
+from .errors import ConfigError, ImdnerError, SchemaError
 from .network import NetworkConfig
 from .training import TrainConfig
 
@@ -38,6 +38,8 @@ def _parse_corpus(path, labels=None):
 
 def _split_config(overrides: dict):
     """Partition a flat config mapping into TrainConfig/NetworkConfig kwargs."""
+    if not isinstance(overrides, dict):
+        raise ConfigError("the config file must hold a JSON object of config keys")
     train_keys = {f.name for f in dc_fields(TrainConfig)}
     net_keys = {f.name for f in dc_fields(NetworkConfig)} - {"num_tags", "word_dim"}
     train_kw, net_kw = {}, {}
@@ -47,12 +49,15 @@ def _split_config(overrides: dict):
         elif key in net_keys:
             net_kw[key] = value
         else:
-            raise ImdnerError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
     return train_kw, net_kw
 
 
 def cmd_train(args) -> int:
-    overrides = json.loads(_read(args.config)) if args.config else {}
+    try:
+        overrides = json.loads(_read(args.config)) if args.config else {}
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"{args.config}: not a valid JSON file: {e}") from None
     train_kw, net_kw = _split_config(overrides)
     train_kw.setdefault("seed", args.seed)
     train_cfg = TrainConfig(**train_kw)
@@ -101,7 +106,7 @@ def cmd_predict(args) -> int:
     ckpt = training.load_checkpoint(args.model)
     data = _read(args.input)
     if args.raw:
-        sentences = tokenize_raw(data.decode("utf-8"))
+        sentences = tokenize_raw(data)
         docs = [Document("input", tuple(sentences))] if sentences else []
     else:
         docs = parse_conll(data, ckpt.label_set, name=Path(args.input).name) if data.strip() else []

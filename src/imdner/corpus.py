@@ -212,12 +212,21 @@ def spans_to_tags(length: int, spans: list[EntitySpan]) -> list[str]:
 DOCSTART = "-DOCSTART-"
 
 
+def decode_text(data: bytes | str) -> str:
+    """UTF-8 text without a leading byte-order mark, CRLF read as LF."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not valid UTF-8 ({e.reason})", line=data.count(b"\n", 0, e.start) + 1) from None
+    return data.removeprefix("\ufeff").replace("\r\n", "\n")
+
+
 def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "corpus") -> list[Document]:
     """Parse CoNLL-style text: one `token<TAB>tag` per line, blank line ends a
     sentence, a -DOCSTART- line starts a new document."""
     labels = labels or LabelSet()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = decode_text(data)
 
     groups: list[list[Sentence]] = []
     cur_sentences: list[Sentence] = []
@@ -325,10 +334,10 @@ def _split_token(word: str) -> list[str]:
     return leading + [core] + list(reversed(trailing))
 
 
-def tokenize_raw(text: str) -> list[Sentence]:
+def tokenize_raw(text: bytes | str) -> list[Sentence]:
     """Tokenize raw text into untagged (all-"O") sentences."""
     sentences = []
-    for chunk in _SENT_BOUNDARY.split(text):
+    for chunk in _SENT_BOUNDARY.split(decode_text(text)):
         words = chunk.split()
         if not words:
             continue

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, decode_text
 from .errors import FormatError, ValidationError
 
 
@@ -14,51 +14,59 @@ from .errors import FormatError, ValidationError
 class EmbeddingTable:
     """Word -> vector lookup, total over all strings.
 
+    Row i of `matrix`, a (len(words), dim) float32 array, is the vector of
+    words[i]. Values given in another dtype are stored as their float32
+    rounding, so a checkpoint holds the table exactly as it is used.
     Lookup order: exact match, then lowercased match, then the unk vector.
     Vectors are never trained; the unk vector is the zero vector.
     """
 
-    dim: int
-    vectors: dict[str, np.ndarray]
+    words: tuple[str, ...]
+    matrix: np.ndarray
     unk_vector: np.ndarray = None
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.unk_vector is None:
-            self.unk_vector = np.zeros(self.dim)
-        for word, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise ValidationError(f"vector for {word!r} has shape {vec.shape}, expected ({self.dim},)")
+        self.words = tuple(self.words)
+        self.matrix = np.asarray(self.matrix, dtype=np.float32)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.words):
+            raise ValidationError(f"matrix of shape {self.matrix.shape} does not hold {len(self.words)} word vectors")
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self.unk_vector = np.asarray(np.zeros(self.dim) if self.unk_vector is None else self.unk_vector, np.float32)
+        if self.unk_vector.shape != (self.dim,):
+            raise ValidationError(f"unk vector has shape {self.unk_vector.shape}, expected ({self.dim},)")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def lookup(self, word: str) -> np.ndarray:
-        vec = self.vectors.get(word)
-        if vec is None:
-            vec = self.vectors.get(word.lower())
-        return vec if vec is not None else self.unk_vector
+        i = self.index.get(word)
+        if i is None:
+            i = self.index.get(word.lower())
+        return self.unk_vector if i is None else self.matrix[i]
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.words)
 
 
 def load_embeddings(data: bytes | str) -> EmbeddingTable:
     """Parse the text embedding format: optional `<count> <dim>` header, then
     one `<word> <v1> ... <vdim>` line per word."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = [ln for ln in data.split("\n")]
+    lines = decode_text(data).split("\n")
 
     vectors: dict[str, np.ndarray] = {}
     dim = None
     start = 0
 
     # Header detection: exactly two integer fields.
-    if lines and lines[0].strip():
-        fields = lines[0].split()
-        if len(fields) == 2:
-            try:
-                int(fields[0]), int(fields[1])
-                start = 1
-            except ValueError:
-                pass
+    fields = lines[0].split()
+    if len(fields) == 2:
+        try:
+            int(fields[0]), int(fields[1])
+            start = 1
+        except ValueError:
+            pass
 
     for line_no in range(start, len(lines)):
         line = lines[line_no].strip()
@@ -69,7 +77,8 @@ def load_embeddings(data: bytes | str) -> EmbeddingTable:
             raise FormatError(f"expected a word and at least one value: {line!r}", line=line_no + 1)
         word = fields[0]
         try:
-            vec = np.array([float(x) for x in fields[1:]])
+            # numpy parses each str as float() does: same accepted strings, same values.
+            vec = np.array(fields[1:], dtype=np.float64)
         except ValueError:
             raise FormatError(f"non-numeric vector component: {line!r}", line=line_no + 1) from None
         if dim is None:
@@ -80,7 +89,7 @@ def load_embeddings(data: bytes | str) -> EmbeddingTable:
 
     if dim is None:
         raise FormatError("embedding file contains no vectors")
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return EmbeddingTable(tuple(vectors), np.array(list(vectors.values()), dtype=np.float32))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+import numbers
+from dataclasses import fields
+
 import numpy as np
 
 
@@ -45,6 +48,16 @@ def check_finite(arr, stage):
     """Raise NumericError naming `stage` if `arr` holds a NaN or an Inf."""
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values in {stage}")
+
+
+def check_field_types(obj):
+    """Raise ValidationError for the first `int` or `float` field of dataclass
+    `obj` that holds a bool or a value of another type."""
+    kinds = {"int": numbers.Integral, "float": numbers.Real}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in kinds and (isinstance(value, bool) or not isinstance(value, kinds[f.type])):
+            raise ValidationError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 class ConfigError(ImdnerError):

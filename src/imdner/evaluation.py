@@ -144,37 +144,32 @@ def evaluate(gold: list[Document], pred: list[Document], labels: LabelSet | None
 
 def error_breakdown(gold: list[Document], pred: list[Document]) -> ErrorBreakdown:
     """Classify each predicted span exactly once, in priority order:
-    exact match > label error > boundary error > spurious."""
+    exact match > label error > boundary error > spurious. A boundary error
+    matches the first overlapping gold span of its label in sorted order."""
     _check_alignment(gold, pred)
     gold_spans = _span_sets(gold)
-    pred_spans = _span_sets(pred)
+    by_range = {g[:4]: g for g in gold_spans}
+    by_label: dict[tuple, list] = {}
+    for g in sorted(gold_spans):
+        by_label.setdefault((g[0], g[1], g[4]), []).append(g)
 
     correct = label_error = boundary_error = spurious = 0
     matched_gold = set()
-    for span in sorted(pred_spans):
+    for span in _span_sets(pred):
         d, s, start, end, lab = span
         if span in gold_spans:
             correct += 1
             matched_gold.add(span)
-            continue
-        same_span = next((g for g in gold_spans if g[:4] == (d, s, start, end)), None)
-        if same_span is not None:
+        elif span[:4] in by_range:
             label_error += 1
-            matched_gold.add(same_span)
-            continue
-        overlap = next(
-            (
-                g
-                for g in sorted(gold_spans)
-                if g[0] == d and g[1] == s and g[4] == lab and g[2] < end and start < g[3]
-            ),
-            None,
-        )
-        if overlap is not None:
-            boundary_error += 1
-            matched_gold.add(overlap)
+            matched_gold.add(by_range[span[:4]])
         else:
-            spurious += 1
+            overlap = next((g for g in by_label.get((d, s, lab), ()) if g[2] < end and start < g[3]), None)
+            if overlap is not None:
+                boundary_error += 1
+                matched_gold.add(overlap)
+            else:
+                spurious += 1
 
     missed = len(gold_spans - matched_gold)
     return ErrorBreakdown(correct, label_error, boundary_error, spurious, missed)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import CharVocab, EmbeddingTable
-from .errors import ValidationError, check_finite
+from .errors import ValidationError, check_field_types, check_finite
 
 MAX_SENTENCE_LEN = 512
 
@@ -40,6 +40,7 @@ class NetworkConfig:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("num_tags", "word_dim", "char_embed_dim", "char_filter_width", "char_filter_count", "lstm_hidden"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -111,10 +112,6 @@ def init_network_params(config: NetworkConfig, vocab_size: int, rng: np.random.G
     )
 
 
-def zero_like_params(params: NetworkParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.param_items()}
-
-
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -148,11 +145,6 @@ def char_features_forward(text: str, vocab: CharVocab, params: NetworkParams, co
     feat = activ[argmax, np.arange(f_count)]
     cache = {"win_idx": win_idx, "windows": windows, "activ": activ, "argmax": argmax}
     return feat, cache
-
-
-def char_features(text: str, vocab: CharVocab, params: NetworkParams, config: NetworkConfig) -> np.ndarray:
-    feat, _ = char_features_forward(text, vocab, params, config)
-    return feat
 
 
 def char_features_backward(d_feat, cache, params: NetworkParams, config: NetworkConfig, grads):

@@ -1,9 +1,11 @@
 """Supervised training: analytic gradients, Adam, checkpoints, prediction.
 
 The whole trajectory (init, shuffles, dropout masks) flows from one seed, so
-a repeated run produces a bitwise-identical checkpoint. Checkpoint tensors
-are rounded through float32 at creation time, which makes the on-disk
-float32 container lossless with respect to the in-memory checkpoint.
+a repeated run produces a bitwise-identical checkpoint. Network and CRF
+tensors are rounded through float32 at checkpoint creation, and the frozen
+embedding table is float32 already, which makes the on-disk float32
+container lossless with respect to the in-memory checkpoint. Training,
+dev scoring and every checkpoint of a run use one and the same table.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import copy
 import json
 import warnings
-import weakref
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import crf as crf_mod
 from . import network as net_mod
 from .corpus import Document, LabelSet, Sentence, Token, validate_bio
 from .embeddings import CharVocab, EmbeddingTable, build_char_vocab
-from .errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError
+from .errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError, check_field_types
 from .evaluation import evaluate
 
 CHECKPOINT_VERSION = 1
@@ -39,6 +40,7 @@ class TrainConfig:
     adam_epsilon: float = 1e-8
 
     def __post_init__(self):
+        check_field_types(self)
         if self.batch_size < 1 or self.epochs < 1:
             raise ValidationError("batch_size and epochs must be positive")
         if not (0.0 < self.learning_rate < 1.0):
@@ -142,68 +144,29 @@ class Checkpoint:
     metadata: dict = field(default_factory=dict)
 
 
-def _round_f32(arr: np.ndarray) -> np.ndarray:
-    return arr.astype("<f4").astype(np.float64)
-
-
-# Tables made by _round_table, by id; weak, so an entry goes with its table.
-_ROUNDED_TABLES: weakref.WeakValueDictionary[int, EmbeddingTable] = weakref.WeakValueDictionary()
-
-
-def _round_table(table: EmbeddingTable) -> EmbeddingTable:
-    """The table rounded through float32, its vectors rows of one matrix.
-
-    A table that this function made is returned as it is, so rounding the
-    22k frozen vectors happens once per train() run, not once per checkpoint.
-    """
-    if _ROUNDED_TABLES.get(id(table)) is table:
-        return table
-    words = list(table.vectors)
-    matrix = _round_f32(np.array([table.vectors[w] for w in words]).reshape(len(words), table.dim))
-    rounded = EmbeddingTable(
-        dim=table.dim,
-        vectors={w: matrix[i] for i, w in enumerate(words)},
-        unk_vector=_round_f32(table.unk_vector),
-    )
-    _ROUNDED_TABLES[id(rounded)] = rounded
-    return rounded
-
-
 def make_checkpoint(net_params, crf_params, config, labels, vocab, table, metadata=None) -> Checkpoint:
     """Snapshot parameters, rounded through float32 so that on-disk storage
     reproduces predictions exactly.
 
-    The embeddings are frozen, so a table already rounded by _round_table is
-    shared, not copied: one rounded table serves every checkpoint of a run.
+    The embedding table is frozen and already float32, so it is shared, not
+    copied: one table serves training and every checkpoint of a run.
     """
-    net = copy.deepcopy(net_params)
-    for _, arr in net.param_items():
-        arr[...] = _round_f32(arr)
-    crf = crf_mod.CrfParams(
-        transitions=_round_f32(crf_params.transitions),
-        start_scores=_round_f32(crf_params.start_scores),
-        end_scores=_round_f32(crf_params.end_scores),
-    )
-    emb = _round_table(table)
-    return Checkpoint(net, crf, config, labels, vocab, emb, metadata=dict(metadata or {}))
+    net, crf = copy.deepcopy((net_params, crf_params))
+    for _, arr in all_param_items(net, crf):
+        arr[...] = arr.astype(np.float32)
+    return Checkpoint(net, crf, config, labels, vocab, table, metadata=dict(metadata or {}))
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
     tensors = all_param_items(ckpt.network, ckpt.crf)
-    words = sorted(ckpt.embeddings.vectors)
-    emb_matrix = (
-        np.array([ckpt.embeddings.vectors[w] for w in words])
-        if words
-        else np.zeros((0, ckpt.embeddings.dim))
-    )
-    tensors += [("embeddings.matrix", emb_matrix), ("embeddings.unk", ckpt.embeddings.unk_vector)]
+    tensors += [("embeddings.matrix", ckpt.embeddings.matrix), ("embeddings.unk", ckpt.embeddings.unk_vector)]
 
     header = {
         "format_version": ckpt.format_version,
         "config": asdict(ckpt.config),
         "labels": list(ckpt.label_set.labels),
         "char_vocab": "".join(ckpt.char_vocab.chars),
-        "embedding_words": words,
+        "embedding_words": list(ckpt.embeddings.words),
         "embedding_dim": ckpt.embeddings.dim,
         "metadata": ckpt.metadata,
         "tensors": [[name, list(arr.shape)] for name, arr in tensors],
@@ -212,10 +175,19 @@ def save_checkpoint(ckpt: Checkpoint, path):
         f.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         f.write(b"\n")
         for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+
+
+def _header_field(header: dict, key: str, kind: type):
+    value = header.get(key)
+    if not isinstance(value, kind):
+        raise IntegrityError(f"checkpoint header field {key!r} is missing or not a {kind.__name__}")
+    return value
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint. The embedding matrix stays a float32 view of the
+    file's payload; the network and CRF tensors become float64."""
     with open(path, "rb") as f:
         header_line = f.readline()
         blob = f.read()
@@ -223,27 +195,35 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IntegrityError(f"unreadable checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise IntegrityError("checkpoint header is not a JSON object")
 
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(version, CHECKPOINT_VERSION)
 
-    expected = sum(int(np.prod(shape)) for _, shape in header["tensors"]) * 4
+    try:
+        specs = [(str(name), tuple(map(int, shape))) for name, shape in _header_field(header, "tensors", list)]
+    except (TypeError, ValueError) as e:
+        raise IntegrityError(f"malformed checkpoint tensor list: {e}") from e
+    if any(n < 0 for _, shape in specs for n in shape):
+        raise IntegrityError("negative tensor dimension in the checkpoint header")
+    expected = sum(int(np.prod(shape)) for _, shape in specs) * 4
     if len(blob) != expected:
         raise IntegrityError(f"checkpoint payload has {len(blob)} bytes, expected {expected}")
 
     arrays = {}
     offset = 0
-    for name, shape in header["tensors"]:
+    for name, shape in specs:
         n = int(np.prod(shape))
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).astype(np.float64).reshape(shape)
+        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(shape)
+        arrays[name] = arr if name.startswith("embeddings.") else arr.astype(np.float64)
         offset += n * 4
 
-    config = net_mod.NetworkConfig(**header["config"])
-    labels = LabelSet(tuple(header["labels"]))
-    vocab = CharVocab(tuple(header["char_vocab"]))
-
     try:
+        config = net_mod.NetworkConfig(**_header_field(header, "config", dict))
+        labels = LabelSet(tuple(_header_field(header, "labels", list)))
+        vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
         net = net_mod.NetworkParams(
             char_embeddings=arrays["char_embeddings"],
             conv_filters=arrays["conv_filters"],
@@ -254,21 +234,16 @@ def load_checkpoint(path) -> Checkpoint:
             proj_bias=arrays["proj_bias"],
         )
         crf = crf_mod.CrfParams(arrays["crf.transitions"], arrays["crf.start"], arrays["crf.end"])
-    except (KeyError, ValidationError) as e:
-        raise IntegrityError(f"checkpoint tensor set inconsistent: {e}") from e
+        table = EmbeddingTable(
+            _header_field(header, "embedding_words", list), arrays["embeddings.matrix"], arrays["embeddings.unk"]
+        )
+    except (KeyError, TypeError, ValidationError) as e:
+        raise IntegrityError(f"inconsistent checkpoint: {e}") from e
     if net.proj_weights.shape != (2 * config.lstm_hidden, config.num_tags):
         raise IntegrityError("projection shape does not match the stored configuration")
-
-    words = header["embedding_words"]
-    emb_matrix = arrays["embeddings.matrix"]
-    if emb_matrix.shape[0] != len(words):
-        raise IntegrityError("embedding matrix row count does not match word list")
-    table = EmbeddingTable(
-        dim=int(header["embedding_dim"]),
-        vectors={w: emb_matrix[i] for i, w in enumerate(words)},
-        unk_vector=arrays["embeddings.unk"],
-    )
-    return Checkpoint(net, crf, config, labels, vocab, table, format_version=version, metadata=header.get("metadata", {}))
+    if _header_field(header, "embedding_dim", int) != table.dim:
+        raise IntegrityError("embedding matrix width does not match the stored embedding_dim")
+    return Checkpoint(net, crf, config, labels, vocab, table, format_version=version, metadata=_header_field(header, "metadata", dict))
 
 
 def _chunks(n: int) -> list[slice]:
@@ -363,7 +338,6 @@ def train(
     adam = AdamState(param_dict)
 
     sentences = [s for doc in train_docs for sent in doc.sentences for s in _split_long(sent)]
-    ckpt_table = _round_table(table)
     history: list[EpochRecord] = []
     best_f1 = -1.0
     best_ckpt = None
@@ -392,7 +366,7 @@ def train(
         record = EpochRecord(epoch=epoch, loss=epoch_loss)
         if dev_docs:
             ckpt = make_checkpoint(
-                net_params, crf_params, net_config, labels, vocab, ckpt_table,
+                net_params, crf_params, net_config, labels, vocab, table,
                 metadata={"seed": train_config.seed, "epochs_completed": epoch, "final_loss": epoch_loss},
             )
             pred = predict_documents(ckpt, dev_docs)
@@ -404,7 +378,7 @@ def train(
         history.append(record)
 
     final = make_checkpoint(
-        net_params, crf_params, net_config, labels, vocab, ckpt_table,
+        net_params, crf_params, net_config, labels, vocab, table,
         metadata={"seed": train_config.seed, "epochs_completed": train_config.epochs, "final_loss": history[-1].loss},
     )
     return TrainResult(checkpoint=final, best_checkpoint=best_ckpt or final, history=history)

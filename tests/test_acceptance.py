@@ -75,7 +75,7 @@ def test_criterion_2_gradient_correctness():
     )
     rng = np.random.default_rng(1)
     words = ["fever", "rash", "the", "patient", "had", "ana", "prednisone", "."]
-    table = EmbeddingTable(4, {w: rng.normal(size=4) for w in words})
+    table = EmbeddingTable(words, rng.normal(size=(len(words), 4)))
     sentences = [
         Sentence((Token("the"), Token("patient"), Token("had"), Token("fever", "B-Symptom"), Token("."))),
         Sentence((Token("ana", "B-Biomarker"), Token("rash", "B-Symptom"))),

@@ -206,6 +206,36 @@ class TestKg:
         assert e.value.code == 2
 
 
+def _bad_input_case(case, data_dir, tmp_path):
+    """argv for one malformed-input case, with its files written to tmp_path."""
+    train = ["train", "--corpus", str(data_dir / "toy_corpus.conll"),
+             "--embeddings", str(data_dir / "test_embeddings.txt"), "--out", str(tmp_path / "m.ckpt")]
+    bad = tmp_path / "bad"
+    if case == "checkpoint-header-without-tensors":
+        bad.write_bytes(b'{"format_version": 1}\n')
+        return ["eval", "--model", str(bad), "--corpus", str(data_dir / "toy_corpus.conll")]
+    if case == "config-not-json":
+        bad.write_text("{bad")
+        return train + ["--config", str(bad)]
+    if case == "config-value-of-wrong-type":
+        bad.write_text('{"epochs": "x"}')
+        return train + ["--config", str(bad)]
+    if case == "corpus-not-utf8":
+        bad.write_bytes("fièvre\tO\n".encode("latin-1"))
+        return ["stats", "--corpus", str(bad)]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "checkpoint-header-without-tensors", "config-not-json", "config-value-of-wrong-type", "corpus-not-utf8",
+])
+def test_malformed_input_is_one_error_line_and_exit_1(case, data_dir, tmp_path, capsys):
+    rc = main(_bad_input_case(case, data_dir, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 def test_import_loads_no_scipy():
     src = Path(imdner.__file__).resolve().parent.parent
     code = "import imdner, imdner.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -87,6 +87,16 @@ class TestParseConll:
         with pytest.raises(TaggingError):
             parse_conll("a\tB-Symptom\nb\tI-Treatment\n")
 
+    def test_crlf_and_bom_copy_parses_to_the_same_documents(self, data_dir, toy_labels):
+        data = data_dir.joinpath("toy_corpus.conll").read_bytes()
+        assert b"\r" not in data
+        windows = b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n")
+        assert parse_conll(windows, toy_labels, name="toy") == parse_conll(data, toy_labels, name="toy")
+
+    def test_non_utf8_input_is_a_parse_error_naming_the_line(self):
+        with pytest.raises(ParseError, match="line 2: not valid UTF-8"):
+            parse_conll(b"Fever\tB-Symptom\nfi\xe8vre\tO\n")
+
     def test_serialize_round_trip(self, toy_corpus, toy_labels):
         text = serialize_conll(toy_corpus)
         again = parse_conll(text, toy_labels, name="toy")
@@ -221,6 +231,10 @@ class TestTokenizeRaw:
 
     def test_empty(self):
         assert tokenize_raw("") == []
+
+    def test_bom_and_crlf(self):
+        assert tokenize_raw("\ufeffFever rose.\r\nRash appeared.") == tokenize_raw("Fever rose.\nRash appeared.")
+        assert tokenize_raw(b"\xef\xbb\xbfFever rose.") == tokenize_raw("Fever rose.")
 
     def test_sentence_boundaries(self):
         sents = tokenize_raw("Fever rose. Rash appeared! Was it SLE? Yes.")

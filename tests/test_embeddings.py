@@ -3,7 +3,7 @@ import pytest
 
 from imdner.corpus import parse_conll
 from imdner.embeddings import CharVocab, build_char_vocab, load_embeddings
-from imdner.errors import FormatError, ValidationError
+from imdner.errors import FormatError, ParseError, ValidationError
 
 
 class TestLoadEmbeddings:
@@ -17,7 +17,7 @@ class TestLoadEmbeddings:
         table = load_embeddings("2 3\na 1 2 3\nb 4 5 6")
         assert table.dim == 3
         assert len(table) == 2
-        assert "2" not in table.vectors
+        assert table.words == ("a", "b")
 
     def test_lowercase_fallback(self):
         table = load_embeddings("fever 0.1 0.2")
@@ -41,6 +41,39 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError):
             load_embeddings("a 1 banana")
 
+    # float() accepts the left column and rejects the right; the loader must
+    # agree with it on every string, including underscores and non-ASCII digits.
+    @pytest.mark.parametrize("value", [
+        "1", "-1.5", "+3", "1e5", "1E-5", ".5", "1.", "nan", "-NaN", "inf", "-Infinity", "1e999", "1_000", "\uff11",
+        "", "1__0", "_1", "0x10", "1e", ".", "1.5.2", "1,5", "1d5", "--1", "nan(1)", "\ufeff1", "1\x1c",
+    ])
+    def test_components_parse_as_float_does(self, value):
+        try:
+            expected = np.float32(float(value))
+        except ValueError:
+            with pytest.raises(FormatError, match="non-numeric"):
+                load_embeddings(f"w {value} 0")
+        else:
+            got = load_embeddings(f"w {value} 0").lookup("w")[0]
+            assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+    def test_later_duplicate_wins_at_the_first_position(self):
+        table = load_embeddings("a 1 1\nb 2 2\na 3 3")
+        assert table.words == ("a", "b")
+        assert np.array_equal(table.matrix, [[3, 3], [2, 2]])
+
+    def test_crlf_and_bom_copy_loads_the_same_table(self, data_dir):
+        data = data_dir.joinpath("test_embeddings.txt").read_bytes()
+        assert b"\r" not in data
+        windows = load_embeddings(b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"))
+        table = load_embeddings(data)
+        assert windows.words == table.words
+        assert np.array_equal(windows.matrix, table.matrix)
+
+    def test_non_utf8_file_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 2"):
+            load_embeddings(b"a 1 2\n\xff 1 2\n")
+
     def test_empty_file_rejected(self):
         with pytest.raises(FormatError):
             load_embeddings("")
@@ -48,9 +81,8 @@ class TestLoadEmbeddings:
     def test_loading_is_deterministic(self, data_dir):
         data = data_dir.joinpath("test_embeddings.txt").read_bytes()
         t1, t2 = load_embeddings(data), load_embeddings(data)
-        assert list(t1.vectors) == list(t2.vectors)
-        for w in t1.vectors:
-            assert np.array_equal(t1.vectors[w], t2.vectors[w])
+        assert t1.words == t2.words
+        assert np.array_equal(t1.matrix, t2.matrix)
 
     def test_shipped_table_shape(self, toy_table):
         assert toy_table.dim == 8

@@ -13,6 +13,8 @@ from imdner.evaluation import (
     report_to_json,
 )
 
+from breakdown_oracle import quadratic_error_breakdown
+
 LABELS = LabelSet(("Symptom", "Treatment", "Biomarker"))
 
 
@@ -205,6 +207,24 @@ class TestErrorBreakdown:
         b = error_breakdown(gold, pred)
         assert b.label_error == 1
         assert b.missed == 0
+
+    def test_boundary_error_matches_the_first_overlap(self):
+        # The first prediction overlaps both gold spans and claims the first;
+        # the second prediction claims the second, so no gold span is missed.
+        gold = [doc_from_tags([["B-Symptom", "I-Symptom", "O", "B-Symptom", "I-Symptom"]])]
+        pred = [doc_from_tags([["O", "B-Symptom", "I-Symptom", "I-Symptom", "B-Symptom"]])]
+        b = error_breakdown(gold, pred)
+        assert (b.boundary_error, b.missed) == (2, 0)
+
+    def test_against_quadratic_reference(self):
+        rng = np.random.default_rng(505)
+        kinds = np.zeros(5, dtype=int)
+        for _ in range(500):
+            gold, pred = _random_pair(rng)
+            b = error_breakdown(gold, pred)
+            assert b == quadratic_error_breakdown(gold, pred)
+            kinds += np.array([b.correct, b.label_error, b.boundary_error, b.spurious, b.missed]) > 0
+        assert np.all(kinds > 50)  # every category is exercised
 
     def test_spurious_and_missed(self):
         gold = [doc_from_tags([["B-Symptom", "O", "O", "O"]])]

@@ -97,7 +97,7 @@ WORDS = [f"w{i}" for i in range(30)] + ["Prednisone", "anti-dsDNA", "fever", "a"
 def _paper_setup():
     rng = np.random.default_rng(2026)
     vocab = CharVocab(tuple("abcdefghijklmnopqrstuvwxyz0123456789-ADNPS"))
-    table = EmbeddingTable(PAPER.word_dim, {w: rng.normal(size=PAPER.word_dim) for w in WORDS[:-5]})
+    table = EmbeddingTable(WORDS[:-5], rng.normal(size=(len(WORDS) - 5, PAPER.word_dim)))
     params = N.init_network_params(PAPER, len(vocab), rng)
     texts = [WORDS[int(k)] for k in rng.integers(0, len(WORDS), size=40)]
     d_emis = rng.normal(size=(len(texts), PAPER.num_tags))
@@ -106,7 +106,7 @@ def _paper_setup():
 
 def _run(params, texts, table, vocab, d_emis, dropout_seed):
     emis, cache = N.emissions_forward(texts, table, params, PAPER, vocab, dropout_seed)
-    grads = N.zero_like_params(params)
+    grads = {name: np.zeros_like(arr) for name, arr in params.param_items()}
     N.emissions_backward(d_emis, cache, params, PAPER, grads)
     return emis, grads
 

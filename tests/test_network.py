@@ -23,7 +23,7 @@ def vocab():
 @pytest.fixture
 def table():
     rng = np.random.default_rng(0)
-    return EmbeddingTable(4, {w: rng.normal(size=4) for w in ["fever", "rash", "the", "high"]})
+    return EmbeddingTable(("fever", "rash", "the", "high"), rng.normal(size=(4, 4)))
 
 
 def zero_params(config, vocab):
@@ -51,15 +51,15 @@ class TestCharFeatures:
     def test_zero_parameters_give_zero_vector(self, vocab):
         config = make_config()
         params = zero_params(config, vocab)
-        feat = N.char_features("a", vocab, params, config)
+        feat = N.char_features_forward("a", vocab, params, config)[0]
         assert np.array_equal(feat, np.zeros(config.char_filter_count))
 
     def test_identical_tokens_identical_features(self, vocab):
         config = make_config()
         rng = np.random.default_rng(1)
         params = N.init_network_params(config, len(vocab), rng)
-        f1 = N.char_features("fever", vocab, params, config)
-        f2 = N.char_features("fever", vocab, params, config)
+        f1 = N.char_features_forward("fever", vocab, params, config)[0]
+        f2 = N.char_features_forward("fever", vocab, params, config)[0]
         assert np.array_equal(f1, f2)
 
     def test_single_filter_detects_a_trigram(self, vocab):
@@ -72,7 +72,7 @@ class TestCharFeatures:
         trigram = [vocab.encode("eve")[i] for i in range(3)]
         params.conv_filters[0] = params.char_embeddings[trigram]
 
-        feat = N.char_features("fever", vocab, params, config)
+        feat = N.char_features_forward("fever", vocab, params, config)[0]
 
         # Hand convolution over the 3 windows of "fever".
         emb = params.char_embeddings[vocab.encode("fever")]
@@ -89,7 +89,7 @@ class TestCharFeatures:
         config = make_config()
         rng = np.random.default_rng(3)
         params = N.init_network_params(config, len(vocab), rng)
-        feat = N.char_features("a", vocab, params, config)
+        feat = N.char_features_forward("a", vocab, params, config)[0]
         assert feat.shape == (config.char_filter_count,)
         assert np.all(np.isfinite(feat))
 
@@ -115,7 +115,7 @@ class TestEmissions:
         # hidden size 1, word dim 1, zero char path: the whole network is a
         # pair of scalar LSTMs we can unroll by hand.
         config = make_config(num_tags=2, word_dim=1, char_filter_count=1, lstm_hidden=1)
-        table = EmbeddingTable(1, {"u": np.array([0.3]), "v": np.array([-0.7])})
+        table = EmbeddingTable(("u", "v"), [[0.3], [-0.7]])
         params = zero_params(config, vocab)
         # input to each LSTM is [word, char]=[x, 0]
         wx = np.array([[0.5, 0.0], [-0.3, 0.0], [0.8, 0.0], [0.2, 0.0]])
@@ -144,7 +144,7 @@ class TestEmissions:
                 out.append(h)
             return out
 
-        xs = [0.3, -0.7]
+        xs = [float(table.lookup(w)[0]) for w in ("u", "v")]
         fw = unroll(xs, wx, wh, b)
         bw = unroll(xs[::-1], 2 * wx, -wh, b / 2)[::-1]
         expected = np.array(
@@ -197,7 +197,7 @@ class TestEmissions:
     def test_word_dim_mismatch(self, vocab):
         config = make_config(word_dim=9)
         params = zero_params(config, vocab)
-        bad_table = EmbeddingTable(4, {"a": np.zeros(4)})
+        bad_table = EmbeddingTable(("a",), np.zeros((1, 4)))
         with pytest.raises(ValidationError):
             N.emissions(["a"], bad_table, params, config, vocab)
 

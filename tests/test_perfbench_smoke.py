@@ -1,16 +1,20 @@
-"""Smoke test: the benchmark's train-paper workload runs end to end at toy
-sizes, and every op passes its output check."""
+"""Smoke test: the benchmark's train-paper and tag-notes workloads run end
+to end at toy sizes, and every op passes its output check. Between them they
+train, save, load and predict with a checkpoint."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_train_paper_toy_run_has_no_failed_ops():
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "train-paper", "--size", "toy",
+@pytest.mark.parametrize("workload", ["train-paper", "tag-notes"])
+def test_toy_run_has_no_failed_ops(workload):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--size", "toy",
            "--seed", "7", "--seconds", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

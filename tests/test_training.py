@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -178,30 +180,43 @@ class TestTrain:
         assert len(adam_steps) == 2  # the NaN batch never reached Adam
 
     def test_non_finite_forward_names_epoch_and_batch(self, toy_corpus, labels):
-        table = EmbeddingTable(8, {"fever": np.full(8, np.nan)})
+        table = EmbeddingTable(("fever",), np.full((1, 8), np.nan))
         with pytest.raises(NumericError, match=r"^epoch 1, batch \d+: non-finite values in forward LSTM"):
             T.train(toy_corpus, [], table, small_net_config(labels), T.TrainConfig(epochs=1, seed=3), labels)
 
-    def test_checkpoints_of_one_run_share_one_rounded_table(self, toy_corpus, toy_table, labels):
+    def test_every_checkpoint_of_a_run_is_the_training_table(self, toy_corpus, toy_table, labels, monkeypatch):
+        trained_on, checkpoints = [], []
+        real_loss, real_make = T.loss_and_gradients, T.make_checkpoint
+
+        def recording_loss(batch, net, crf, table, *args, **kw):
+            trained_on.append(table)
+            return real_loss(batch, net, crf, table, *args, **kw)
+
+        def recording_make(*args, **kw):
+            checkpoints.append(real_make(*args, **kw))
+            return checkpoints[-1]
+
+        monkeypatch.setattr(T, "loss_and_gradients", recording_loss)
+        monkeypatch.setattr(T, "make_checkpoint", recording_make)
         config = small_net_config(labels)
         result = T.train(toy_corpus, toy_corpus[:1], toy_table, config, T.TrainConfig(epochs=2, seed=5), labels)
-        emb = result.checkpoint.embeddings
-        assert emb is result.best_checkpoint.embeddings
-        assert emb.vectors.keys() == toy_table.vectors.keys()
-        for word, vec in toy_table.vectors.items():
-            assert np.array_equal(emb.vectors[word], vec.astype(np.float32).astype(np.float64))
+        assert len(checkpoints) == 3  # one per epoch for dev scoring, then the final one
+        assert checkpoints[-1] is result.checkpoint and any(c is result.best_checkpoint for c in checkpoints)
+        assert trained_on and all(table is toy_table for table in trained_on)
+        assert all(ckpt.embeddings is toy_table for ckpt in checkpoints)
 
-    def test_make_checkpoint_rounds_a_raw_table(self, toy_table, labels):
+    def test_table_from_float64_values_holds_their_float32_rounding(self, labels):
+        values = np.random.default_rng(0).normal(size=(3, 8))
+        table = EmbeddingTable(("fever", "rash", "ana"), values)
+        assert table.matrix.dtype == np.float32 and table.unk_vector.dtype == np.float32
+        assert np.array_equal(table.matrix, values.astype(np.float32))
+        assert np.array_equal(table.lookup("RASH"), values[1].astype(np.float32))
         config = small_net_config(labels)
         rng = np.random.default_rng(0)
         vocab = CharVocab(("a",))
         net = N.init_network_params(config, len(vocab), rng)
         crf = T.init_crf_params(labels.num_tags, rng)
-        ckpt = T.make_checkpoint(net, crf, config, labels, vocab, toy_table)
-        assert ckpt.embeddings is not toy_table
-        assert T.make_checkpoint(net, crf, config, labels, vocab, ckpt.embeddings).embeddings is ckpt.embeddings
-        for word, vec in toy_table.vectors.items():
-            assert np.array_equal(ckpt.embeddings.vectors[word], vec.astype(np.float32).astype(np.float64))
+        assert T.make_checkpoint(net, crf, config, labels, vocab, table).embeddings is table
 
     def test_empty_train_set_rejected(self, toy_table, labels):
         config = small_net_config(labels)
@@ -276,6 +291,85 @@ class TestCheckpoint:
         head = head.replace(b'"format_version": 1', b'"format_version": 999')
         path.write_bytes(head + b"\n" + rest)
         with pytest.raises(UnsupportedVersionError, match="999.*1"):
+            T.load_checkpoint(path)
+
+    def test_load_keeps_the_table_float32_and_the_weights_float64(self, trained, toy_table, tmp_path):
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        loaded = T.load_checkpoint(path)
+        assert loaded.embeddings.matrix.dtype == np.float32
+        assert not loaded.embeddings.matrix.flags.owndata  # a view of the payload, not a copy
+        assert loaded.embeddings.words == toy_table.words
+        assert np.array_equal(loaded.embeddings.matrix, toy_table.matrix)
+        assert all(arr.dtype == np.float64 for _, arr in T.all_param_items(loaded.network, loaded.crf))
+
+    def test_sorted_word_order_still_loads(self, trained, toy_table, tmp_path):
+        # Checkpoints written before the table kept its file order list the
+        # words sorted; the format is unchanged, so they read the same.
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        head, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        words = header["embedding_words"]
+        order = sorted(range(len(words)), key=words.__getitem__)
+        assert order != list(range(len(words)))
+        header["embedding_words"] = [words[i] for i in order]
+        payload = np.frombuffer(blob, dtype="<f4")
+        start = len(payload) - (len(words) + 1) * toy_table.dim  # the matrix, then the unk vector
+        rows = payload[start:start + len(words) * toy_table.dim].reshape(len(words), -1)[order]
+        payload = np.concatenate([payload[:start], rows.ravel(), payload[start + rows.size:]])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload.astype("<f4").tobytes())
+        loaded = T.load_checkpoint(path)
+        for word in words:
+            assert np.array_equal(loaded.embeddings.lookup(word), toy_table.lookup(word))
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param({"tensors": None}, id="no-tensors"),
+        pytest.param({"tensors": 7}, id="tensors-not-a-list"),
+        pytest.param({"tensors": [["char_embeddings", ["x"]]]}, id="tensor-shape-not-integers"),
+        pytest.param({"config": None}, id="no-config"),
+        pytest.param({"config": [1, 2]}, id="config-not-an-object"),
+        pytest.param({"config": {"num_tags": "seven"}}, id="config-value-not-an-integer"),
+        pytest.param({"labels": None}, id="no-labels"),
+        pytest.param({"labels": "Symptom"}, id="labels-not-a-list"),
+        pytest.param({"char_vocab": None}, id="no-char-vocab"),
+        pytest.param({"embedding_words": None}, id="no-embedding-words"),
+        pytest.param({"embedding_dim": None}, id="no-embedding-dim"),
+        pytest.param({"embedding_dim": 9}, id="embedding-dim-not-the-matrix-width"),
+        pytest.param({"metadata": None}, id="no-metadata"),
+    ])
+    def test_missing_or_ill_typed_header_key_is_an_integrity_error(self, trained, tmp_path, edit):
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        head, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        for key, value in edit.items():
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(IntegrityError):
+            T.load_checkpoint(path)
+
+    def test_unknown_config_key_is_an_integrity_error(self, trained, tmp_path):
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        head, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["config"]["attention_heads"] = 4
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(IntegrityError, match="attention_heads"):
+            T.load_checkpoint(path)
+
+    def test_header_that_is_not_an_object_is_an_integrity_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"[1, 2]\n")
+        with pytest.raises(IntegrityError):
             T.load_checkpoint(path)
 
     def test_save_is_deterministic(self, trained, tmp_path):

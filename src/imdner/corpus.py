@@ -94,7 +94,7 @@ def _check_tag(tag, labels: LabelSet):
     return prefix, label
 
 
-def validate_bio(tags, labels: LabelSet | None = None, where=""):
+def validate_bio(tags, labels: LabelSet | None = None):
     """Raise TaggingError if the tag sequence is not BIO-valid."""
     prev_prefix, prev_label = "O", None
     for i, tag in enumerate(tags):
@@ -104,8 +104,8 @@ def validate_bio(tags, labels: LabelSet | None = None, where=""):
             prefix, label = _split_tag(tag)
         if prefix == "I":
             if prev_prefix == "O" or prev_label != label:
-                loc = f" at token {i}" + (f" ({where})" if where else "")
-                raise TaggingError(f"{tag} follows {'O' if prev_prefix == 'O' else prev_prefix + '-' + str(prev_label)}{loc}")
+                prev = "O" if prev_prefix == "O" else f"{prev_prefix}-{prev_label}"
+                raise TaggingError(f"{tag} follows {prev} at token {i}")
         prev_prefix, prev_label = prefix, label
 
 
@@ -235,9 +235,10 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
     def close_sentence(line_no):
         nonlocal cur_tokens
         if cur_tokens:
-            tags = [t.tag for t in cur_tokens]
-            validate_bio(tags, labels, where=f"{name} near line {line_no}")
-            cur_sentences.append(Sentence(tuple(cur_tokens)))
+            try:
+                cur_sentences.append(Sentence(tuple(cur_tokens)))
+            except TaggingError as e:
+                raise TaggingError(f"{e} ({name} near line {line_no})") from e
             cur_tokens = []
 
     def close_document():
@@ -291,6 +292,8 @@ def split_corpus(docs: list[Document], test_fraction: float, seed: int):
         raise ValidationError("need at least 2 documents to split")
     if not (0.0 < test_fraction < 1.0):
         raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     n_test = int(np.floor(test_fraction * len(docs) + 0.5))
     n_test = max(1, min(n_test, len(docs) - 1))
     perm = np.random.default_rng(seed).permutation(len(docs))

@@ -56,6 +56,7 @@ def load_embeddings(data: bytes | str) -> EmbeddingTable:
     lines = decode_text(data).split("\n")
 
     vectors: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
     dim = None
     start = 0
 
@@ -86,10 +87,18 @@ def load_embeddings(data: bytes | str) -> EmbeddingTable:
         elif len(vec) != dim:
             raise FormatError(f"vector of length {len(vec)}, expected {dim}", line=line_no + 1)
         vectors[word] = vec
+        line_of[word] = line_no + 1
 
     if dim is None:
         raise FormatError("embedding file contains no vectors")
-    return EmbeddingTable(tuple(vectors), np.array(list(vectors.values()), dtype=np.float32))
+    with np.errstate(over="ignore"):
+        matrix = np.array(list(vectors.values()), dtype=np.float32)
+    # A row's float64 sum is finite exactly when all its float32 values are.
+    bad = ~np.isfinite(matrix.sum(axis=1, dtype=np.float64))
+    if bad.any():
+        word = list(vectors)[bad.argmax()]
+        raise FormatError(f"vector of {word!r} holds a NaN, an Inf or a value beyond float32", line=line_of[word])
+    return EmbeddingTable(tuple(vectors), matrix)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ one-to-one. Zero denominators yield 0, not an error.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Document, LabelSet, tags_to_spans
@@ -124,13 +125,8 @@ def evaluate(gold: list[Document], pred: list[Document], labels: LabelSet | None
     gold_spans = _span_sets(gold)
     pred_spans = _span_sets(pred)
     matched = gold_spans & pred_spans
-
-    per_label = []
-    for lab in labels.labels:
-        tp = sum(1 for s in matched if s[4] == lab)
-        fp = sum(1 for s in pred_spans - matched if s[4] == lab)
-        fn = sum(1 for s in gold_spans - matched if s[4] == lab)
-        per_label.append(LabelMetrics.from_counts(lab, tp, fp, fn))
+    tp, fp, fn = (Counter(s[4] for s in spans) for spans in (matched, pred_spans - matched, gold_spans - matched))
+    per_label = [LabelMetrics.from_counts(lab, tp[lab], fp[lab], fn[lab]) for lab in labels.labels]
 
     micro, macro, weighted = aggregate(per_label)
     return EvalReport(
@@ -177,18 +173,11 @@ def error_breakdown(gold: list[Document], pred: list[Document]) -> ErrorBreakdow
 
 def iaa(annotation_a: list[Document], annotation_b: list[Document], labels: LabelSet | None = None) -> AgreementReport:
     """Token-level percentage agreement plus entity F1 with A as gold."""
-    _check_alignment(annotation_a, annotation_b)
-    total = 0
-    matching = 0
-    for da, db in zip(annotation_a, annotation_b):
-        for sa, sb in zip(da.sentences, db.sentences):
-            for ta, tb in zip(sa.tokens, sb.tokens):
-                total += 1
-                if ta.tag == tb.tag:
-                    matching += 1
-    pct = 100.0 * matching / total if total else 0.0
-    report = evaluate(annotation_a, annotation_b, labels)
-    return AgreementReport(token_agreement_pct=pct, entity_f1_a_as_gold=report.micro[2], token_count=total)
+    report = evaluate(annotation_a, annotation_b, labels)  # checks the alignment
+    tags_a = [tok.tag for doc in annotation_a for sent in doc.sentences for tok in sent.tokens]
+    tags_b = [tok.tag for doc in annotation_b for sent in doc.sentences for tok in sent.tokens]
+    pct = 100.0 * sum(a == b for a, b in zip(tags_a, tags_b)) / len(tags_a) if tags_a else 0.0
+    return AgreementReport(token_agreement_pct=pct, entity_f1_a_as_gold=report.micro[2], token_count=len(tags_a))
 
 
 def format_report(report: EvalReport) -> str:

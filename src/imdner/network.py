@@ -88,28 +88,34 @@ class NetworkParams:
             ("proj_bias", self.proj_bias),
         ]
 
+    @classmethod
+    def from_items(cls, items) -> NetworkParams:
+        """Inverse of param_items: the (name, tensor) pairs in its order."""
+        ce, cf, cb, fw_x, fw_h, fw_b, bw_x, bw_h, bw_b, pw, pb = (arr for _, arr in items)
+        return cls(ce, cf, cb, LstmBlock(fw_x, fw_h, fw_b), LstmBlock(bw_x, bw_h, bw_b), pw, pb)
+
+
+def param_shapes(config: NetworkConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every network tensor, in param_items order; init and load_checkpoint read it."""
+    h, d_in = config.lstm_hidden, config.lstm_input_dim
+    lstm = [("wx", (4 * h, d_in)), ("wh", (4 * h, h)), ("b", (4 * h,))]
+    return [
+        ("char_embeddings", (vocab_size, config.char_embed_dim)),
+        ("conv_filters", (config.char_filter_count, config.char_filter_width, config.char_embed_dim)),
+        ("conv_bias", (config.char_filter_count,)),
+        *((f"{direction}.{name}", shape) for direction in ("lstm_fw", "lstm_bw") for name, shape in lstm),
+        ("proj_weights", (2 * h, config.num_tags)),
+        ("proj_bias", (config.num_tags,)),
+    ]
+
 
 def init_network_params(config: NetworkConfig, vocab_size: int, rng: np.random.Generator) -> NetworkParams:
-    """Seeded uniform(-0.1, 0.1) everywhere, forget-gate biases at 1.0."""
-    h, d_in = config.lstm_hidden, config.lstm_input_dim
-
-    def u(*shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    def lstm_block():
-        blk = LstmBlock(wx=u(4 * h, d_in), wh=u(4 * h, h), b=u(4 * h))
-        blk.b[h: 2 * h] = 1.0
-        return blk
-
-    return NetworkParams(
-        char_embeddings=u(vocab_size, config.char_embed_dim),
-        conv_filters=u(config.char_filter_count, config.char_filter_width, config.char_embed_dim),
-        conv_bias=u(config.char_filter_count),
-        lstm_fw=lstm_block(),
-        lstm_bw=lstm_block(),
-        proj_weights=u(2 * h, config.num_tags),
-        proj_bias=u(config.num_tags),
-    )
+    """Seeded uniform(-0.1, 0.1) drawn in param_shapes order, forget-gate biases at 1.0."""
+    params = NetworkParams.from_items((n, rng.uniform(-0.1, 0.1, size=s)) for n, s in param_shapes(config, vocab_size))
+    h = config.lstm_hidden
+    params.lstm_fw.b[h: 2 * h] = 1.0
+    params.lstm_bw.b[h: 2 * h] = 1.0
+    return params
 
 
 def _sigmoid(x):

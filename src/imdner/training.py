@@ -19,7 +19,7 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import network as net_mod
-from .corpus import Document, LabelSet, Sentence, Token, validate_bio
+from .corpus import Document, LabelSet, Sentence, Token
 from .embeddings import CharVocab, EmbeddingTable, build_char_vocab
 from .errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError, check_field_types
 from .evaluation import evaluate
@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValidationError("learning_rate must be in (0, 1)")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValidationError("dropout_rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 class AdamState:
@@ -74,15 +76,16 @@ class AdamState:
             p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def crf_param_shapes(num_tags: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of the CRF tensors, in CrfParams field order."""
+    return [("crf.transitions", (num_tags, num_tags)), ("crf.start", (num_tags,)), ("crf.end", (num_tags,))]
+
+
 def all_param_items(net_params: net_mod.NetworkParams, crf_params: crf_mod.CrfParams):
     """Declared tensor order, shared by Adam, gradients and the checkpoint."""
-    items = list(net_params.param_items())
-    items += [
-        ("crf.transitions", crf_params.transitions),
-        ("crf.start", crf_params.start_scores),
-        ("crf.end", crf_params.end_scores),
-    ]
-    return items
+    crf_arrays = (crf_params.transitions, crf_params.start_scores, crf_params.end_scores)
+    crf_names = (name for name, _ in crf_param_shapes(crf_params.num_tags))
+    return net_params.param_items() + list(zip(crf_names, crf_arrays))
 
 
 def loss_and_gradients(
@@ -106,7 +109,6 @@ def loss_and_gradients(
     scale = 1.0 / len(batch)
     total = 0.0
     for j, sent in enumerate(batch):
-        validate_bio(sent.tags, labels)
         dropout_seed = None if seed is None else [int(seed) & 0x7FFFFFFF, j]
         emis, cache = net_mod.emissions_forward(sent.texts, table, net_params, config, vocab, dropout_seed)
         gold = [labels.tag_index(t) for t in sent.tags]
@@ -186,8 +188,8 @@ def _header_field(header: dict, key: str, kind: type):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint. The embedding matrix stays a float32 view of the
-    file's payload; the network and CRF tensors become float64."""
+    """Read a checkpoint, checking each tensor's shape against its stored config.
+    The embedding matrix stays a float32 view of the payload; the rest become float64."""
     with open(path, "rb") as f:
         header_line = f.readline()
         blob = f.read()
@@ -204,10 +206,25 @@ def load_checkpoint(path) -> Checkpoint:
 
     try:
         specs = [(str(name), tuple(map(int, shape))) for name, shape in _header_field(header, "tensors", list)]
-    except (TypeError, ValueError) as e:
-        raise IntegrityError(f"malformed checkpoint tensor list: {e}") from e
-    if any(n < 0 for _, shape in specs for n in shape):
-        raise IntegrityError("negative tensor dimension in the checkpoint header")
+        config = net_mod.NetworkConfig(**_header_field(header, "config", dict))
+        labels = LabelSet(tuple(_header_field(header, "labels", list)))
+        vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
+        words = tuple(map(str, _header_field(header, "embedding_words", list)))
+    except (TypeError, ValueError, ValidationError) as e:
+        raise IntegrityError(f"inconsistent checkpoint: {e}") from e
+    if labels.num_tags != config.num_tags:
+        raise IntegrityError(f"{len(labels)} labels make {labels.num_tags} tags, but num_tags is {config.num_tags}")
+    if _header_field(header, "embedding_dim", int) != config.word_dim:
+        raise IntegrityError("embedding_dim does not match the stored word_dim")
+
+    net_shapes = net_mod.param_shapes(config, len(vocab))
+    crf_shapes = crf_param_shapes(config.num_tags)
+    table_shapes = [("embeddings.matrix", (len(words), config.word_dim)), ("embeddings.unk", (config.word_dim,))]
+    declared, stored = dict(net_shapes + crf_shapes + table_shapes), dict(specs)
+    for name in [*declared, *stored]:
+        if stored.get(name) != declared.get(name):
+            got, want = stored.get(name, "missing"), declared.get(name, "unknown")
+            raise IntegrityError(f"tensor {name!r}: shape {got} in the checkpoint, {want} in its config")
     expected = sum(int(np.prod(shape)) for _, shape in specs) * 4
     if len(blob) != expected:
         raise IntegrityError(f"checkpoint payload has {len(blob)} bytes, expected {expected}")
@@ -220,29 +237,9 @@ def load_checkpoint(path) -> Checkpoint:
         arrays[name] = arr if name.startswith("embeddings.") else arr.astype(np.float64)
         offset += n * 4
 
-    try:
-        config = net_mod.NetworkConfig(**_header_field(header, "config", dict))
-        labels = LabelSet(tuple(_header_field(header, "labels", list)))
-        vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
-        net = net_mod.NetworkParams(
-            char_embeddings=arrays["char_embeddings"],
-            conv_filters=arrays["conv_filters"],
-            conv_bias=arrays["conv_bias"],
-            lstm_fw=net_mod.LstmBlock(arrays["lstm_fw.wx"], arrays["lstm_fw.wh"], arrays["lstm_fw.b"]),
-            lstm_bw=net_mod.LstmBlock(arrays["lstm_bw.wx"], arrays["lstm_bw.wh"], arrays["lstm_bw.b"]),
-            proj_weights=arrays["proj_weights"],
-            proj_bias=arrays["proj_bias"],
-        )
-        crf = crf_mod.CrfParams(arrays["crf.transitions"], arrays["crf.start"], arrays["crf.end"])
-        table = EmbeddingTable(
-            _header_field(header, "embedding_words", list), arrays["embeddings.matrix"], arrays["embeddings.unk"]
-        )
-    except (KeyError, TypeError, ValidationError) as e:
-        raise IntegrityError(f"inconsistent checkpoint: {e}") from e
-    if net.proj_weights.shape != (2 * config.lstm_hidden, config.num_tags):
-        raise IntegrityError("projection shape does not match the stored configuration")
-    if _header_field(header, "embedding_dim", int) != table.dim:
-        raise IntegrityError("embedding matrix width does not match the stored embedding_dim")
+    net = net_mod.NetworkParams.from_items((name, arrays[name]) for name, _ in net_shapes)
+    crf = crf_mod.CrfParams(*(arrays[name] for name, _ in crf_shapes))
+    table = EmbeddingTable(words, arrays["embeddings.matrix"], arrays["embeddings.unk"])
     return Checkpoint(net, crf, config, labels, vocab, table, format_version=version, metadata=_header_field(header, "metadata", dict))
 
 
@@ -304,11 +301,7 @@ class TrainResult:
 
 
 def init_crf_params(num_tags: int, rng: np.random.Generator) -> crf_mod.CrfParams:
-    return crf_mod.CrfParams(
-        transitions=rng.uniform(-0.1, 0.1, size=(num_tags, num_tags)),
-        start_scores=rng.uniform(-0.1, 0.1, size=num_tags),
-        end_scores=rng.uniform(-0.1, 0.1, size=num_tags),
-    )
+    return crf_mod.CrfParams(*(rng.uniform(-0.1, 0.1, size=shape) for _, shape in crf_param_shapes(num_tags)))
 
 
 def train(

@@ -9,6 +9,8 @@ import pytest
 import imdner
 from imdner.cli import main
 
+from checkpoint_files import DAMAGED, damage
+
 TINY_CONFIG = {
     "epochs": 2,
     "batch_size": 8,
@@ -223,17 +225,39 @@ def _bad_input_case(case, data_dir, tmp_path):
     if case == "corpus-not-utf8":
         bad.write_bytes("fièvre\tO\n".encode("latin-1"))
         return ["stats", "--corpus", str(bad)]
+    if case == "train-negative-seed":
+        return train + ["--seed", "-1"]
+    if case == "split-negative-seed":
+        return ["split", "--corpus", str(data_dir / "toy_corpus.conll"), "--seed", "-1",
+                "--train-out", str(tmp_path / "train.conll"), "--test-out", str(tmp_path / "test.conll")]
     raise AssertionError(case)
 
 
 @pytest.mark.parametrize("case", [
     "checkpoint-header-without-tensors", "config-not-json", "config-value-of-wrong-type", "corpus-not-utf8",
+    "train-negative-seed", "split-negative-seed",
 ])
 def test_malformed_input_is_one_error_line_and_exit_1(case, data_dir, tmp_path, capsys):
     rc = main(_bad_input_case(case, data_dir, tmp_path))
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("case", sorted(DAMAGED))
+def test_damaged_checkpoint_is_one_error_line_naming_it(case, command, model_path, data_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(model_path.read_bytes())
+    named = damage(bad, case)
+    corpus = str(data_dir / "toy_corpus.conll")
+    if command == "predict":
+        rc = main(["predict", "--model", str(bad), "--input", corpus, "--out", str(tmp_path / "out.conll")])
+    else:
+        rc = main(["eval", "--model", str(bad), "--corpus", corpus])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and named in err, err
 
 
 def test_import_loads_no_scipy():

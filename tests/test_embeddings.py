@@ -43,6 +43,8 @@ class TestLoadEmbeddings:
 
     # float() accepts the left column and rejects the right; the loader must
     # agree with it on every string, including underscores and non-ASCII digits.
+    # Of the accepted strings, those that are not finite in float32 are
+    # rejected as non-finite instead.
     @pytest.mark.parametrize("value", [
         "1", "-1.5", "+3", "1e5", "1E-5", ".5", "1.", "nan", "-NaN", "inf", "-Infinity", "1e999", "1_000", "\uff11",
         "", "1__0", "_1", "0x10", "1e", ".", "1.5.2", "1,5", "1d5", "--1", "nan(1)", "\ufeff1", "1\x1c",
@@ -54,8 +56,17 @@ class TestLoadEmbeddings:
             with pytest.raises(FormatError, match="non-numeric"):
                 load_embeddings(f"w {value} 0")
         else:
-            got = load_embeddings(f"w {value} 0").lookup("w")[0]
-            assert got == expected or (np.isnan(got) and np.isnan(expected))
+            if np.isfinite(expected):
+                assert load_embeddings(f"w {value} 0").lookup("w")[0] == expected
+            else:
+                with pytest.raises(FormatError, match="NaN, an Inf"):
+                    load_embeddings(f"w {value} 0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_component_names_the_word_and_line(self, value, recwarn):
+        with pytest.raises(FormatError, match="line 2: vector of 'fever' holds a NaN"):
+            load_embeddings(f"rash 0.1 0.2\nfever {value} 0.2\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_later_duplicate_wins_at_the_first_position(self):
         table = load_embeddings("a 1 1\nb 2 2\na 3 3")

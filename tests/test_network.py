@@ -47,6 +47,18 @@ class TestConfig:
         assert make_config().lstm_input_dim == 6
 
 
+class TestParams:
+    def test_param_shapes_declare_every_tensor_in_param_items_order(self, vocab):
+        config = make_config()
+        params = N.init_network_params(config, len(vocab), np.random.default_rng(0))
+        assert [(name, arr.shape) for name, arr in params.param_items()] == N.param_shapes(config, len(vocab))
+
+    def test_from_items_inverts_param_items(self, vocab):
+        params = N.init_network_params(make_config(), len(vocab), np.random.default_rng(0))
+        again = N.NetworkParams.from_items(params.param_items())
+        assert [(n, id(a)) for n, a in again.param_items()] == [(n, id(a)) for n, a in params.param_items()]
+
+
 class TestCharFeatures:
     def test_zero_parameters_give_zero_vector(self, vocab):
         config = make_config()

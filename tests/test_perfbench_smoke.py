@@ -1,6 +1,7 @@
-"""Smoke test: the benchmark's train-paper and tag-notes workloads run end
-to end at toy sizes, and every op passes its output check. Between them they
-train, save, load and predict with a checkpoint."""
+"""Smoke test: every benchmark workload runs end to end at toy sizes, and
+every op passes its output check. train-paper and tag-notes train, save, load
+and predict with a checkpoint; the three scoring workloads check their results
+against the errors planted in their inputs."""
 
 import json
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["train-paper", "tag-notes"])
+@pytest.mark.parametrize("workload", ["train-paper", "tag-notes", "score-corpus", "breakdown-corpus", "kg-corpus"])
 def test_toy_run_has_no_failed_ops(workload):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--size", "toy",
            "--seed", "7", "--seconds", "1"]

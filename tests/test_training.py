@@ -1,13 +1,18 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from imdner import network as N
 from imdner import training as T
 from imdner.corpus import Document, LabelSet, Sentence, Token
 from imdner.embeddings import CharVocab, EmbeddingTable, build_char_vocab
 from imdner.errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError
+
+from checkpoint_files import DAMAGED, damage, read_checkpoint, write_checkpoint
 
 
 def small_net_config(labels, word_dim=8, **kw):
@@ -371,6 +376,39 @@ class TestCheckpoint:
         path.write_bytes(b"[1, 2]\n")
         with pytest.raises(IntegrityError):
             T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED))
+    def test_damaged_checkpoint_is_an_integrity_error_naming_it(self, trained, tmp_path, case):
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        named = damage(path, case)
+        with pytest.raises(IntegrityError, match=re.escape(named)):
+            T.load_checkpoint(path)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_rewritten_tensor_shapes_are_rejected_or_predict(self, trained, toy_corpus, tmp_path, data):
+        # Up to three tensors get a new shape, their payload resized to match.
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        header, tensors = read_checkpoint(path)
+        for name in data.draw(st.lists(st.sampled_from(sorted(tensors)), max_size=3, unique=True)):
+            old = tensors[name].shape
+            shape = data.draw(st.one_of(
+                st.lists(st.integers(0, 12), max_size=3),
+                st.integers(0, len(old) - 1).flatmap(
+                    lambda axis: st.integers(0, 12).map(lambda n: [*old[:axis], n, *old[axis + 1:]])),
+            ))
+            tensors[name] = np.resize(tensors[name], shape)
+        write_checkpoint(path, header, tensors)
+        try:
+            ckpt = T.load_checkpoint(path)
+        except IntegrityError:
+            return
+        (doc,) = T.predict_documents(ckpt, toy_corpus[:1])
+        assert doc.sentences[0].texts == toy_corpus[0].sentences[0].texts
 
     def test_save_is_deterministic(self, trained, tmp_path):
         _, result = trained

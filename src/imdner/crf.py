@@ -176,9 +176,10 @@ def masked(crf: CrfParams, labels: LabelSet) -> CrfParams:
     """CRF parameters with the hard BIO mask applied, for decoding only.
 
     Invalid moves score -inf, so Viterbi output is BIO-valid whatever the
-    emissions; the result is not fit for log_partition or gradients.
+    emissions; the result is not fit for log_partition or gradients. It
+    keeps the dtype of crf, so a float32 CRF decodes in float32.
     """
-    mask = bio_transition_mask(labels)
+    mask = bio_transition_mask(labels).astype(crf.transitions.dtype, copy=False)
     return CrfParams(
         transitions=crf.transitions + mask[:-1],
         start_scores=crf.start_scores + mask[-1],

@@ -1,25 +1,31 @@
 """Emission network: Char-CNN features + word vectors -> BiLSTM -> projection.
 
-Forward passes are deterministic (dropout only when a seed is supplied) and
-cache every intermediate needed for the manual backward pass in training.
-All math is float64; parameters live in plain numpy arrays.
+One call runs a ragged batch: the flat tokens of B sentences and their
+lengths, with emissions returned packed as (N, num_tags) for the N tokens in
+sentence order. Arithmetic runs in the dtype of the parameters it is given:
+float64 in training, float32 from a checkpoint. Dropout applies only when a
+seed is supplied; sentence j's mask is drawn from [seed, j]. The forward pass
+caches every intermediate the manual backward pass needs.
 
-Each LSTM direction does its heavy work in a few large GEMMs, with only the
-recurrent matrix-vector product left inside the time loop (input hoisting
-as in Appleyard et al., arXiv:1604.01946):
-
-- forward: the input projection X @ Wx.T + b of all T steps is one GEMM;
-  gates, hidden and cell states are cached as (T, .) arrays;
-- backward: the loop fills the stacked gate gradients dZ (T, 4H); then
-  dWx += dZ.T @ X, dWh += dZ.T @ H_prev, db += sum(dZ) and dX = dZ @ Wx.
-
-The char-CNN gathers every convolution window with one fancy index and
-scatters its embedding gradients back with one np.add.at.
+- Char-CNN: the convolution windows of all N tokens, packed token after
+  token with no padding, are gathered with one fancy index and scored with
+  one GEMM. Each token keeps the max over its own windows and then applies
+  tanh, which gives the same feature as max-over-tanh because tanh is
+  monotonic. The backward pass is one scatter into the char embeddings.
+- BiLSTM: the sentences are packed time-major in order of decreasing length
+  (Appleyard et al., arXiv:1604.01946), so the sentences still running at
+  step t are a prefix of the batch, and both directions advance in the same
+  step; the backward direction reads each sentence reversed. The input
+  projection X @ Wx.T + b and the weight gradients are one 2-D GEMM per
+  direction over all N tokens. Only h @ Wh.T, against a contiguous
+  transposed copy of Wh, stays in the time loop, and the backward loop only
+  fills the stacked gate gradients dZ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -118,8 +124,12 @@ def init_network_params(config: NetworkConfig, vocab_size: int, rng: np.random.G
     return params
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_inplace(x):
+    """Logistic sigmoid, in place."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
 
 
 def dropout_mask(shape, rate: float, seed) -> np.ndarray:
@@ -129,179 +139,205 @@ def dropout_mask(shape, rate: float, seed) -> np.ndarray:
     return (rng.random(shape) < keep).astype(float) / keep
 
 
-def _char_windows(text: str, vocab: CharVocab, width: int) -> np.ndarray:
-    """(P, width) char indices of every convolution window, short tokens padded."""
-    idx = vocab.encode(text)
-    if len(idx) < width:
-        pad = (width - 1) // 2
-        idx = [vocab.pad_index] * pad + idx + [vocab.pad_index] * pad
-    n_pos = len(idx) - width + 1
-    return np.asarray(idx)[np.arange(n_pos)[:, None] + np.arange(width)]
+def _char_windows(token_texts: list[str], vocab: CharVocab, width: int):
+    """Char indices of every convolution window, (P, width), packed token after
+    token, and each token's window count; tokens shorter than width are padded."""
+    pad = [vocab.pad_index] * ((width - 1) // 2)
+    codes = [idx if len(idx) >= width else pad + idx + pad for idx in map(vocab.encode, token_texts)]
+    n_pos = np.fromiter((len(c) - width + 1 for c in codes), dtype=np.intp, count=len(codes))
+    if not len(codes) or n_pos.min() < 1:
+        raise ValidationError("char features need at least one token and no empty token")
+    chars = np.fromiter(chain.from_iterable(codes), dtype=np.intp)
+    # Token i's windows start (width - 1) * i chars further on than their packed row.
+    starts = np.arange(n_pos.sum()) + (width - 1) * np.repeat(np.arange(len(codes)), n_pos)
+    return chars[starts[:, None] + np.arange(width)], n_pos
 
 
-def char_features_forward(text: str, vocab: CharVocab, params: NetworkParams, config: NetworkConfig):
-    """1-D convolution over char embeddings, tanh, max-over-time pooling."""
+def char_features_forward(token_texts: list[str], vocab: CharVocab, params: NetworkParams, config: NetworkConfig):
+    """(N, filter_count) features of N tokens: 1-D convolution over char
+    embeddings, max over each token's windows, then tanh."""
+    if isinstance(token_texts, str):
+        raise ValidationError("char features take a list of tokens, not a string")
     f_count = config.char_filter_count
-    win_idx = _char_windows(text, vocab, config.char_filter_width)
+    win_idx, n_pos = _char_windows(token_texts, vocab, config.char_filter_width)
     windows = params.char_embeddings[win_idx].reshape(len(win_idx), -1)  # (P, w*d)
-    filters_flat = params.conv_filters.reshape(f_count, -1)  # (F, w*d)
-    scores = windows @ filters_flat.T + params.conv_bias  # (P, F)
-    activ = np.tanh(scores)
-    argmax = activ.argmax(axis=0)
-    feat = activ[argmax, np.arange(f_count)]
-    cache = {"win_idx": win_idx, "windows": windows, "activ": activ, "argmax": argmax}
-    return feat, cache
+    scores = windows @ params.conv_filters.reshape(f_count, -1).T + params.conv_bias  # (P, F)
+    first = np.cumsum(n_pos) - n_pos
+    best = np.maximum.reduceat(scores, first, axis=0)  # (N, F)
+    # The gradient goes to the first window of the token that attains the max.
+    hit = scores == np.repeat(best, n_pos, axis=0)
+    argmax = np.minimum.reduceat(np.where(hit, np.arange(len(scores))[:, None], len(scores)), first, axis=0)
+    feat = np.tanh(best)
+    return feat, {"win_idx": win_idx, "windows": windows, "argmax": argmax, "feat": feat}
 
 
 def char_features_backward(d_feat, cache, params: NetworkParams, config: NetworkConfig, grads):
+    """Accumulate char-CNN gradients given d loss / d features (N, filter_count)."""
     f_count, d = config.char_filter_count, config.char_embed_dim
-    activ, argmax, windows, win_idx = cache["activ"], cache["argmax"], cache["windows"], cache["win_idx"]
-    d_activ = np.zeros_like(activ)
-    d_activ[argmax, np.arange(f_count)] = d_feat
-    d_scores = d_activ * (1.0 - activ**2)  # (P, F)
-    filters_flat = params.conv_filters.reshape(f_count, -1)
+    windows, win_idx, feat = cache["windows"], cache["win_idx"], cache["feat"]
+    d_scores = np.zeros((len(windows), f_count), dtype=windows.dtype)  # nonzero only at each max
+    d_scores[cache["argmax"], np.arange(f_count)] = d_feat * (1.0 - feat**2)
     grads["conv_filters"] += (d_scores.T @ windows).reshape(params.conv_filters.shape)
     grads["conv_bias"] += d_scores.sum(axis=0)
-    d_windows = d_scores @ filters_flat  # (P, w*d)
+    d_windows = d_scores @ params.conv_filters.reshape(f_count, -1)  # (P, w*d)
     np.add.at(grads["char_embeddings"], win_idx.ravel(), d_windows.reshape(-1, d))
 
 
-def _lstm_forward(xs: np.ndarray, blk: LstmBlock, hidden: int):
-    """Unidirectional pass over xs (T, In); returns hidden states (T, H) and the cache.
+def _pack(lengths: np.ndarray):
+    """Time-major packing of B sentences sorted by decreasing length.
 
-    The input projection of all T steps is one GEMM; the recurrence adds
-    only Wh @ h per step. Activated gates are stored as (T, 4, H) in
-    [input, forget, cell, output] order.
+    Packed row r is step t[r] of the k[r]-th longest sentence; the rows of
+    step t are start[t]:start[t+1], and the sentences still running then are
+    the first active[t] of the sorted batch. Returns the token each
+    direction reads at every row (2, N), start, active, and the row of every
+    packed row's previous state in a state array whose first B rows hold the
+    zero initial state.
     """
-    T = xs.shape[0]
-    zx = (xs @ blk.wx.T + blk.b).reshape(T, 4, hidden)
-    gates = np.empty((T, 4, hidden))
-    hs = np.zeros((T + 1, hidden))  # hs[t] is the state before step t
-    cs = np.zeros((T + 1, hidden))
-    tanh_cs = np.empty((T, hidden))
-    for t in range(T):
-        z = zx[t] + (blk.wh @ hs[t]).reshape(4, hidden)
-        gt = gates[t]
-        gt[...] = _sigmoid(z)
-        gt[2] = np.tanh(z[2])
-        cs[t + 1] = gt[1] * cs[t] + gt[0] * gt[2]
-        tanh_cs[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = gt[3] * tanh_cs[t]
-    cache = {"xs": xs, "hs": hs, "cs": cs, "gates": gates, "tanh_cs": tanh_cs}
-    return hs[1:], cache
+    by_len = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[by_len]
+    t, k = np.nonzero(sorted_len > np.arange(sorted_len[0])[:, None])
+    first = (np.cumsum(lengths) - lengths)[by_len][k]
+    rows = np.stack([first + t, first + sorted_len[k] - 1 - t])
+    active = np.bincount(t)
+    start = np.concatenate([[0], np.cumsum(active)])
+    prev = np.concatenate([[0], len(lengths) + start[:-2]])[t] + k
+    return rows, start, active, prev
 
 
-def _lstm_backward(d_hs: np.ndarray, cache, blk: LstmBlock, hidden: int, prefix: str, grads):
-    """BPTT; d_hs (T, H) are gradients on the per-step hidden states.
+def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: NetworkParams, hidden: int):
+    """Both LSTM directions over the packed sentences xs (N, In); returns the
+    hidden states (N, 2H) in sentence order, [forward, backward], and the cache.
 
-    The time loop only carries dh/dc through Wh and fills the stacked gate
-    gradients dZ (T, 4H); the weight and input gradients are then three
-    GEMMs over all steps. Returns gradients on the inputs xs (T, In).
+    Gates are kept as (2, N, 4, H) in [input, forget, cell, output] order;
+    hidden and cell states as (2, B + N, H), the first B rows zero.
     """
-    T = d_hs.shape[0]
-    gates, tanh_cs = cache["gates"], cache["tanh_cs"]
-    i, f, g, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
-    # d z / d c for the i, f, g gates and d z / d h for the o gate, per step.
+    rows, start, active, prev = _pack(lengths)
+    n_tok, batch, dtype = len(xs), len(lengths), xs.dtype
+    blocks = (params.lstm_fw, params.lstm_bw)
+    x = xs[rows]  # (2, N, In), the token each direction reads at each packed row
+    gates = np.empty((2, n_tok, 4 * hidden), dtype=dtype)
+    for d, blk in enumerate(blocks):
+        np.matmul(x[d], blk.wx.T, out=gates[d])
+        gates[d] += blk.b
+    gates = gates.reshape(2, n_tok, 4, hidden)
+    wh_t = np.stack([blk.wh for blk in blocks]).transpose(0, 2, 1).copy()  # (2, H, 4H), C-contiguous
+    hs = np.zeros((2, batch + n_tok, hidden), dtype=dtype)
+    cs = np.zeros((2, batch + n_tok, hidden), dtype=dtype)
+    tanh_cs = np.empty((2, n_tok, hidden), dtype=dtype)
+    with np.errstate(over="ignore"):  # exp overflows to inf, and the sigmoid to 0
+        for t, n in enumerate(active):
+            a, b, p = start[t], batch + start[t], prev[start[t]]
+            z = gates[:, a: a + n]
+            z += np.matmul(hs[:, p: p + n], wh_t).reshape(2, n, 4, hidden)
+            g = np.tanh(z[:, :, 2])
+            _sigmoid_inplace(z)
+            z[:, :, 2] = g
+            c = cs[:, b: b + n]
+            np.multiply(z[:, :, 1], cs[:, p: p + n], out=c)
+            c += z[:, :, 0] * g
+            np.tanh(c, out=tanh_cs[:, a: a + n])
+            np.multiply(z[:, :, 3], tanh_cs[:, a: a + n], out=hs[:, b: b + n])
+    check_finite(hs[0], "forward LSTM")
+    check_finite(hs[1], "backward LSTM")
+    out = np.empty((n_tok, 2 * hidden), dtype=dtype)
+    out[rows[0], :hidden] = hs[0, batch:]
+    out[rows[1], hidden:] = hs[1, batch:]
+    cache = {"x": x, "rows": rows, "start": start, "active": active, "prev": prev,
+             "gates": gates, "hs": hs, "cs": cs, "tanh_cs": tanh_cs}
+    return out, cache
+
+
+def _bilstm_backward(d_out: np.ndarray, cache, params: NetworkParams, hidden: int, grads):
+    """BPTT through both directions; d_out (N, 2H) are gradients on the
+    hidden states in sentence order. The time loop only carries dh/dc
+    through Wh and fills the stacked gate gradients dZ; the weight and input
+    gradients are then 2-D GEMMs per direction. Returns d xs (N, In)."""
+    rows, start, active, prev = cache["rows"], cache["start"], cache["active"], cache["prev"]
+    gates, tanh_cs, x = cache["gates"], cache["tanh_cs"], cache["x"]
+    n_tok = len(d_out)
+    i, f, g, o = (gates[:, :, q] for q in range(4))
+    # d z / d c for the i, f, g gates and d z / d h for the o gate, per row.
     coef = np.stack(
-        [g * i * (1.0 - i), cache["cs"][:-1] * f * (1.0 - f), i * (1.0 - g**2), tanh_cs * o * (1.0 - o)],
-        axis=1,
+        [g * i * (1.0 - i), cache["cs"][:, prev] * f * (1.0 - f), i * (1.0 - g**2), tanh_cs * o * (1.0 - o)],
+        axis=2,
     )
     dc_dh = o * (1.0 - tanh_cs**2)
-    d_z = np.empty((T, 4, hidden))
-    dh_next = np.zeros(hidden)
-    dc_next = np.zeros(hidden)
-    for t in range(T - 1, -1, -1):
-        dh = d_hs[t] + dh_next
-        dc = dh * dc_dh[t] + dc_next
-        d_z[t, :3] = coef[t, :3] * dc
-        d_z[t, 3] = coef[t, 3] * dh
-        dh_next = blk.wh.T @ d_z[t].reshape(-1)
-        dc_next = dc * f[t]
-    d_z = d_z.reshape(T, -1)
-    grads[f"{prefix}.wx"] += d_z.T @ cache["xs"]
-    grads[f"{prefix}.wh"] += d_z.T @ cache["hs"][:-1]
-    grads[f"{prefix}.b"] += d_z.sum(axis=0)
-    return d_z @ blk.wx
+    d_hs = np.stack([d_out[rows[0], :hidden], d_out[rows[1], hidden:]])  # (2, N, H), packed
+    wh = np.stack([params.lstm_fw.wh, params.lstm_bw.wh])  # (2, 4H, H)
+    d_z = np.empty((2, n_tok, 4, hidden), dtype=d_out.dtype)
+    dh_next = dc_next = np.zeros((2, 0, hidden), dtype=d_out.dtype)
+    for t in range(len(active) - 1, -1, -1):
+        a, n, m = start[t], active[t], dh_next.shape[1]  # the first m sentences run on to step t+1
+        dh = d_hs[:, a: a + n]
+        dh[:, :m] += dh_next
+        dc = dh * dc_dh[:, a: a + n]
+        dc[:, :m] += dc_next
+        dz = d_z[:, a: a + n]
+        np.multiply(coef[:, a: a + n, :3], dc[:, :, None], out=dz[:, :, :3])
+        np.multiply(coef[:, a: a + n, 3], dh, out=dz[:, :, 3])
+        dh_next = np.matmul(dz.reshape(2, n, -1), wh)
+        dc_next = dc * f[:, a: a + n]
+    d_z = d_z.reshape(2, n_tok, -1)
+    h_prev = cache["hs"][:, prev]
+    d_xs = np.zeros((n_tok, x.shape[2]), dtype=d_out.dtype)
+    for d, (prefix, blk) in enumerate((("lstm_fw", params.lstm_fw), ("lstm_bw", params.lstm_bw))):
+        grads[f"{prefix}.wx"] += d_z[d].T @ x[d]
+        grads[f"{prefix}.wh"] += d_z[d].T @ h_prev[d]
+        grads[f"{prefix}.b"] += d_z[d].sum(axis=0)
+        d_xs[rows[d]] += d_z[d] @ blk.wx
+    return d_xs
 
 
 def emissions_forward(
     token_texts: list[str],
+    lengths,
     table: EmbeddingTable,
     params: NetworkParams,
     config: NetworkConfig,
     vocab: CharVocab,
     dropout_seed=None,
 ):
-    """Per-token emission scores (T, num_tags) plus the backward cache.
+    """Packed emission scores (N, num_tags) of the sentences whose lengths are
+    given, their N tokens flat in token_texts, plus the backward cache.
 
     Dropout (inverted, scaled by 1/(1-rate)) is applied to the LSTM input
-    only when a dropout_seed is given.
+    only when a dropout_seed is given, sentence j's mask seeded by
+    [dropout_seed, j].
     """
-    T = len(token_texts)
-    if T < 1:
-        raise ValidationError("emissions require at least one token")
-    if T > MAX_SENTENCE_LEN:
-        raise ValidationError(f"sentence of {T} tokens exceeds the {MAX_SENTENCE_LEN}-token limit")
+    lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
+    if not len(lengths) or lengths.min() < 1:
+        raise ValidationError("emissions require at least one sentence and one token per sentence")
+    if lengths.max() > MAX_SENTENCE_LEN:
+        raise ValidationError(f"sentence of {lengths.max()} tokens exceeds the {MAX_SENTENCE_LEN}-token limit")
+    if lengths.sum() != len(token_texts):
+        raise ValidationError(f"{len(token_texts)} tokens given for sentences of {lengths.sum()} tokens")
     if table.dim != config.word_dim:
         raise ValidationError(f"embedding dim {table.dim} does not match configured word_dim {config.word_dim}")
 
-    word_vecs = np.stack([table.lookup(t) for t in token_texts])
-    char_caches = []
-    char_feats = np.zeros((T, config.char_filter_count))
-    for t, text in enumerate(token_texts):
-        char_feats[t], cc = char_features_forward(text, vocab, params, config)
-        char_caches.append(cc)
+    char_feats, char_cache = char_features_forward(token_texts, vocab, params, config)
     check_finite(char_feats, "char features")
-
-    xs = np.concatenate([word_vecs, char_feats], axis=1)
+    word_vecs = np.stack([table.lookup(t) for t in token_texts])
+    xs = np.concatenate([word_vecs, char_feats], axis=1, dtype=params.lstm_fw.wx.dtype)
     mask = None
     if dropout_seed is not None and config.dropout_rate > 0.0:
-        mask = dropout_mask(xs.shape, config.dropout_rate, dropout_seed)
-        xs = xs * mask
+        in_dim = xs.shape[1]
+        mask = np.concatenate([dropout_mask((n, in_dim), config.dropout_rate, [dropout_seed, j])
+                               for j, n in enumerate(lengths)])
+        xs *= mask
 
-    h = config.lstm_hidden
-    hs_fw, cache_fw = _lstm_forward(xs, params.lstm_fw, h)
-    hs_bw_rev, cache_bw = _lstm_forward(xs[::-1], params.lstm_bw, h)
-    hs_bw = hs_bw_rev[::-1]
-    check_finite(hs_fw, "forward LSTM")
-    check_finite(hs_bw, "backward LSTM")
-
-    hidden = np.concatenate([hs_fw, hs_bw], axis=1)  # (T, 2H)
+    hidden, lstm_cache = _bilstm_forward(xs, lengths, params, config.lstm_hidden)
     emis = hidden @ params.proj_weights + params.proj_bias
     check_finite(emis, "projection")
-
-    cache = {
-        "char_caches": char_caches,
-        "mask": mask,
-        "cache_fw": cache_fw,
-        "cache_bw": cache_bw,
-        "hidden": hidden,
-    }
-    return emis, cache
-
-
-def emissions(sentence, table, params, config, vocab, dropout_seed=None) -> np.ndarray:
-    """Emission matrix for a Sentence or a list of token strings."""
-    texts = sentence if isinstance(sentence, list) else sentence.texts
-    emis, _ = emissions_forward(texts, table, params, config, vocab, dropout_seed)
-    return emis
+    return emis, {"char_cache": char_cache, "mask": mask, "lstm_cache": lstm_cache, "hidden": hidden}
 
 
 def emissions_backward(d_emis: np.ndarray, cache, params: NetworkParams, config: NetworkConfig, grads):
-    """Accumulate network gradients given d loss / d emissions."""
+    """Accumulate network gradients given d loss / d emissions (N, num_tags)."""
     hidden = cache["hidden"]
     grads["proj_weights"] += hidden.T @ d_emis
     grads["proj_bias"] += d_emis.sum(axis=0)
-    d_hidden = d_emis @ params.proj_weights.T  # (T, 2H)
-
-    h = config.lstm_hidden
-    d_xs_fw = _lstm_backward(d_hidden[:, :h], cache["cache_fw"], params.lstm_fw, h, "lstm_fw", grads)
-    d_xs_bw_rev = _lstm_backward(d_hidden[::-1, h:], cache["cache_bw"], params.lstm_bw, h, "lstm_bw", grads)
-    d_xs = d_xs_fw + d_xs_bw_rev[::-1]
-
+    d_xs = _bilstm_backward(d_emis @ params.proj_weights.T, cache["lstm_cache"], params, config.lstm_hidden, grads)
     if cache["mask"] is not None:
-        d_xs = d_xs * cache["mask"]
-
-    d_char = d_xs[:, config.word_dim:]  # word vectors are frozen
-    for t, cc in enumerate(cache["char_caches"]):
-        char_features_backward(d_char[t], cc, params, config, grads)
+        d_xs *= cache["mask"]
+    # Word vectors are frozen; only the char features take a gradient.
+    char_features_backward(d_xs[:, config.word_dim:], cache["char_cache"], params, config, grads)

@@ -1,17 +1,18 @@
 """Supervised training: analytic gradients, Adam, checkpoints, prediction.
 
 The whole trajectory (init, shuffles, dropout masks) flows from one seed, so
-a repeated run produces a bitwise-identical checkpoint. Network and CRF
-tensors are rounded through float32 at checkpoint creation, and the frozen
-embedding table is float32 already, which makes the on-disk float32
-container lossless with respect to the in-memory checkpoint. Training,
-dev scoring and every checkpoint of a run use one and the same table.
+a repeated run produces a bitwise-identical checkpoint. Training runs in
+float64; a checkpoint holds float32 copies of the network and CRF tensors and
+the frozen float32 embedding table, so the on-disk float32 container is
+lossless and a checkpoint decodes in float32 whether it was just made or
+loaded from disk. Training, dev scoring and every checkpoint of a run use one
+and the same table.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+import os
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -100,24 +101,31 @@ def loss_and_gradients(
 ):
     """Mean per-sentence CRF negative log-likelihood and its gradients.
 
-    Dropout is active only when a seed is given; per-sentence masks derive
-    deterministically from (seed, position in batch).
+    The network runs once forward and once backward over the whole batch;
+    the CRF runs per sentence on its rows. Dropout is active only when a
+    seed is given; per-sentence masks derive deterministically from (seed,
+    position in batch).
     """
     if not batch:
         raise ValidationError("empty batch")
     grads = {name: np.zeros_like(arr) for name, arr in all_param_items(net_params, crf_params)}
     scale = 1.0 / len(batch)
     total = 0.0
-    for j, sent in enumerate(batch):
-        dropout_seed = None if seed is None else [int(seed) & 0x7FFFFFFF, j]
-        emis, cache = net_mod.emissions_forward(sent.texts, table, net_params, config, vocab, dropout_seed)
+    texts = [t for sent in batch for t in sent.texts]
+    lengths = [len(sent) for sent in batch]
+    dropout_seed = None if seed is None else int(seed) & 0x7FFFFFFF
+    emis, cache = net_mod.emissions_forward(texts, lengths, table, net_params, config, vocab, dropout_seed)
+    d_emis = np.empty_like(emis)
+    offsets = np.cumsum([0, *lengths])
+    for sent, a, b in zip(batch, offsets, offsets[1:]):
         gold = [labels.tag_index(t) for t in sent.tags]
-        value, d_emis, d_trans, d_start, d_end = crf_mod.nll_gradients(emis, crf_params, gold)
+        value, d_emis[a:b], d_trans, d_start, d_end = crf_mod.nll_gradients(emis[a:b], crf_params, gold)
         total += value
         grads["crf.transitions"] += scale * d_trans
         grads["crf.start"] += scale * d_start
         grads["crf.end"] += scale * d_end
-        net_mod.emissions_backward(scale * d_emis, cache, net_params, config, grads)
+    d_emis *= scale
+    net_mod.emissions_backward(d_emis, cache, net_params, config, grads)
     return total * scale, grads
 
 
@@ -147,15 +155,15 @@ class Checkpoint:
 
 
 def make_checkpoint(net_params, crf_params, config, labels, vocab, table, metadata=None) -> Checkpoint:
-    """Snapshot parameters, rounded through float32 so that on-disk storage
-    reproduces predictions exactly.
+    """Snapshot the parameters as float32 arrays, exactly what save_checkpoint
+    writes, so predictions from memory and from disk agree.
 
     The embedding table is frozen and already float32, so it is shared, not
     copied: one table serves training and every checkpoint of a run.
     """
-    net, crf = copy.deepcopy((net_params, crf_params))
-    for _, arr in all_param_items(net, crf):
-        arr[...] = arr.astype(np.float32)
+    net = net_mod.NetworkParams.from_items((n, arr.astype(np.float32)) for n, arr in net_params.param_items())
+    crf_arrays = (crf_params.transitions, crf_params.start_scores, crf_params.end_scores)
+    crf = crf_mod.CrfParams(*(arr.astype(np.float32) for arr in crf_arrays))
     return Checkpoint(net, crf, config, labels, vocab, table, metadata=dict(metadata or {}))
 
 
@@ -187,12 +195,23 @@ def _header_field(header: dict, key: str, kind: type):
     return value
 
 
+def _tensor_spec(entry) -> tuple[str, tuple[int, ...]]:
+    name, shape = entry
+    if not isinstance(shape, list) or not all(type(n) is int for n in shape):
+        raise IntegrityError(f"tensor {name!r}: shape {shape!r} is not a list of integers")
+    return str(name), tuple(shape)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, checking each tensor's shape against its stored config.
-    The embedding matrix stays a float32 view of the payload; the rest become float64."""
+
+    The payload is read into one aligned float32 buffer, and every tensor,
+    the embedding table included, is a view of it.
+    """
     with open(path, "rb") as f:
         header_line = f.readline()
-        blob = f.read()
+        payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
+        payload = np.fromfile(f, dtype="<f4")  # a fresh, aligned buffer
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -205,7 +224,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise UnsupportedVersionError(version, CHECKPOINT_VERSION)
 
     try:
-        specs = [(str(name), tuple(map(int, shape))) for name, shape in _header_field(header, "tensors", list)]
+        specs = [_tensor_spec(entry) for entry in _header_field(header, "tensors", list)]
         config = net_mod.NetworkConfig(**_header_field(header, "config", dict))
         labels = LabelSet(tuple(_header_field(header, "labels", list)))
         vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
@@ -220,23 +239,22 @@ def load_checkpoint(path) -> Checkpoint:
     net_shapes = net_mod.param_shapes(config, len(vocab))
     crf_shapes = crf_param_shapes(config.num_tags)
     table_shapes = [("embeddings.matrix", (len(words), config.word_dim)), ("embeddings.unk", (config.word_dim,))]
+    names = [name for name, _ in specs]
+    for name in names:
+        if names.count(name) > 1:
+            raise IntegrityError(f"tensor {name!r} is listed {names.count(name)} times in the checkpoint")
     declared, stored = dict(net_shapes + crf_shapes + table_shapes), dict(specs)
     for name in [*declared, *stored]:
         if stored.get(name) != declared.get(name):
             got, want = stored.get(name, "missing"), declared.get(name, "unknown")
             raise IntegrityError(f"tensor {name!r}: shape {got} in the checkpoint, {want} in its config")
-    expected = sum(int(np.prod(shape)) for _, shape in specs) * 4
-    if len(blob) != expected:
-        raise IntegrityError(f"checkpoint payload has {len(blob)} bytes, expected {expected}")
+    sizes = [int(np.prod(shape)) for _, shape in specs]
+    expected = sum(sizes) * 4
+    if payload_bytes != expected:
+        raise IntegrityError(f"checkpoint payload has {payload_bytes} bytes, expected {expected}")
 
-    arrays = {}
-    offset = 0
-    for name, shape in specs:
-        n = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(shape)
-        arrays[name] = arr if name.startswith("embeddings.") else arr.astype(np.float64)
-        offset += n * 4
-
+    offsets = np.cumsum([0, *sizes])
+    arrays = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(specs, offsets, offsets[1:])}
     net = net_mod.NetworkParams.from_items((name, arrays[name]) for name, _ in net_shapes)
     crf = crf_mod.CrfParams(*(arrays[name] for name, _ in crf_shapes))
     table = EmbeddingTable(words, arrays["embeddings.matrix"], arrays["embeddings.unk"])
@@ -265,23 +283,35 @@ def _split_long(sent: Sentence) -> list[Sentence]:
 def predict_documents(ckpt: Checkpoint, docs: list[Document]) -> list[Document]:
     """BIO tags for every sentence (deterministic, dropout off).
 
-    The BIO-masked CRF is built once per call, so every predicted sequence is
-    BIO-valid; a sentence over the network's limit is tagged chunk by chunk.
+    A sentence over the network's limit is cut into chunks. The chunks of all
+    documents are run through the network in consecutive groups of at most
+    MAX_SENTENCE_LEN tokens, one forward call per group, in the dtype of the
+    checkpoint. The BIO-masked CRF is built once per call, so every predicted
+    sequence is BIO-valid.
     """
     decode_crf = crf_mod.masked(ckpt.crf, ckpt.label_set)
     tag_names = ckpt.label_set.tags
-    out = []
-    for doc in docs:
-        sentences = []
-        for sent in doc.sentences:
-            texts = sent.texts
-            tags = []
-            for piece in _chunks(len(texts)):
-                emis = net_mod.emissions(texts[piece], ckpt.embeddings, ckpt.network, ckpt.config, ckpt.char_vocab)
-                tags.extend(tag_names[y] for y in crf_mod.viterbi(emis, decode_crf).tags)
-            sentences.append(Sentence(tuple(Token(t, g) for t, g in zip(texts, tags))))
-        out.append(Document(doc.id, tuple(sentences)))
-    return out
+    chunks = [sent.texts[piece] for doc in docs for sent in doc.sentences for piece in _chunks(len(sent))]
+    limit = net_mod.MAX_SENTENCE_LEN
+    groups, size = [], limit  # a full group: the first chunk opens a new one
+    for chunk in chunks:
+        if size + len(chunk) > limit:
+            groups.append([])
+            size = 0
+        groups[-1].append(chunk)
+        size += len(chunk)
+    tags = []
+    for group in groups:
+        lengths = [len(chunk) for chunk in group]
+        texts = [t for chunk in group for t in chunk]
+        emis, _ = net_mod.emissions_forward(texts, lengths, ckpt.embeddings, ckpt.network, ckpt.config, ckpt.char_vocab)
+        for rows in np.split(emis, np.cumsum(lengths)[:-1]):
+            tags.extend(tag_names[y] for y in crf_mod.viterbi(rows, decode_crf).tags)
+    tag_iter = iter(tags)
+    return [
+        Document(doc.id, tuple(Sentence(tuple(Token(t, next(tag_iter)) for t in sent.texts)) for sent in doc.sentences))
+        for doc in docs
+    ]
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,16 @@ def read_checkpoint(path):
     return header, tensors
 
 
-def write_checkpoint(path, header, tensors):
-    """Write the header and the tensors, listing each tensor with its shape."""
-    header = {**header, "tensors": [[name, list(arr.shape)] for name, arr in tensors.items()]}
-    payload = b"".join(np.asarray(arr, dtype="<f4").tobytes() for arr in tensors.values())
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+def _listing(tensors):
+    return [[name, list(arr.shape)] for name, arr in tensors.items()]
+
+
+def write_checkpoint(path, header, tensors, listing=None):
+    """Write the header and the tensors named in listing, a list of [name,
+    shape] entries in payload order; by default each tensor with its shape."""
+    listing = listing or _listing(tensors)
+    payload = b"".join(np.asarray(tensors[name], dtype="<f4").tobytes() for name, _ in listing)
+    path.write_bytes(json.dumps({**header, "tensors": listing}).encode() + b"\n" + payload)
 
 
 def _cut_crf_to_five_tags(header, tensors):
@@ -30,7 +35,21 @@ def _cut_crf_to_five_tags(header, tensors):
         tensors[name] = tensors[name][(slice(5),) * tensors[name].ndim]
 
 
-# id -> (edit of (header, tensors) in place, what the error message names)
+def _fractional_dimension(header, tensors):
+    listing = _listing(tensors)
+    next(e for e in listing if e[0] == "conv_bias")[1][0] += 0.9  # int() would truncate it to the right size
+    return listing
+
+
+def _listed_twice(header, tensors):
+    listing = _listing(tensors)
+    i = next(i for i, e in enumerate(listing) if e[0] == "conv_bias")
+    listing.insert(i, listing[i])
+    return listing
+
+
+# id -> (edit of (header, tensors) in place, returning the tensor listing to
+# write or None for each tensor with its shape; what the error message names)
 DAMAGED = {
     "lstm-wh-cut-to-5-columns": (lambda h, t: t.update({"lstm_fw.wh": t["lstm_fw.wh"][:, :5]}), "lstm_fw.wh"),
     "5-char-rows-for-a-larger-vocab": (lambda h, t: t.update({"char_embeddings": t["char_embeddings"][:5]}),
@@ -38,8 +57,10 @@ DAMAGED = {
     "conv-filters-of-width-2": (lambda h, t: t.update({"conv_filters": t["conv_filters"][:, :2]}), "conv_filters"),
     "5-tag-crf": (_cut_crf_to_five_tags, "crf.transitions"),
     "two-labels": (lambda h, t: h.update({"labels": h["labels"][:2]}), "2 labels make 5 tags"),
-    "missing-tensor": (lambda h, t: t.pop("conv_bias"), "conv_bias"),
+    "missing-tensor": (lambda h, t: t.__delitem__("conv_bias"), "conv_bias"),
     "unknown-tensor": (lambda h, t: t.update({"attention.wq": np.zeros(2)}), "attention.wq"),
+    "fractional-dimension": (_fractional_dimension, "conv_bias"),
+    "tensor-listed-twice": (_listed_twice, "conv_bias"),
 }
 
 
@@ -47,6 +68,6 @@ def damage(path, case):
     """Rewrite the checkpoint at path as DAMAGED[case]; returns the name the error must give."""
     edit, named = DAMAGED[case]
     header, tensors = read_checkpoint(path)
-    edit(header, tensors)
-    write_checkpoint(path, header, tensors)
+    listing = edit(header, tensors)
+    write_checkpoint(path, header, tensors, listing)
     return named

@@ -155,17 +155,22 @@ class TestBruteForce:
 
 class TestBioMask:
     def test_masked_decode_is_bio_valid(self):
-        # The -inf mask wins whatever the size of the emissions and parameters.
+        # The -inf mask wins whatever the size of the emissions and parameters,
+        # in float64 and, up to float32's range, in float32, which the mask keeps.
         labels = LabelSet(("Symptom", "Treatment"))
         rng = np.random.default_rng(12)
         K = labels.num_tags
-        for scale in (5.0, 1e3, 1e10, 1e50, 1e100):
-            for _ in range(50):
-                emis = rng.normal(size=(rng.integers(1, 8), K)) * scale
-                params = C.CrfParams(*(rng.normal(size=s) * scale for s in ((K, K), K, K)))
-                best = C.viterbi(emis, C.masked(params, labels))
-                tags = [labels.tags[i] for i in best.tags]
-                validate_bio(tags, labels)  # raises on violation
+        for dtype, scales in ((np.float64, (5.0, 1e3, 1e10, 1e50, 1e100)), (np.float32, (5.0, 1e3, 1e10, 1e30))):
+            for scale in scales:
+                for _ in range(50):
+                    emis = (rng.normal(size=(rng.integers(1, 8), K)) * scale).astype(dtype)
+                    params = C.CrfParams(*((rng.normal(size=s) * scale).astype(dtype) for s in ((K, K), K, K)))
+                    decode = C.masked(params, labels)
+                    assert {a.dtype for a in (decode.transitions, decode.start_scores, decode.end_scores)} == {
+                        np.dtype(dtype)}
+                    best = C.viterbi(emis, decode)
+                    tags = [labels.tags[i] for i in best.tags]
+                    validate_bio(tags, labels)  # raises on violation
 
     def test_huge_inside_emission_cannot_beat_the_mask(self):
         # A soft -1e4 mask loses to a 2e4 emission; decoding must not.

@@ -1,10 +1,12 @@
-"""Oracle tests for the hoisted BiLSTM and the inline CRF log-sum-exp.
+"""Oracle tests for the packed BiLSTM, the batched char-CNN and the inline
+CRF log-sum-exp.
 
-The references below are the straightforward per-step kernels: one
-matrix-vector product per gate input and two np.outer calls per step in the
-LSTM backward, and scipy.special.logsumexp in the CRF recursions. The
-package's kernels reorder floating-point sums, so they are held to a
-relative tolerance, not to bitwise equality.
+The references below are the straightforward per-sentence, per-step kernels:
+one matrix-vector product per gate input and two np.outer calls per step in
+the LSTM backward, a per-token char-CNN that takes the max over tanh, and
+scipy.special.logsumexp in the CRF recursions. The package's kernels batch
+sentences and reorder floating-point sums, so they are held to a relative
+tolerance, not to bitwise equality.
 """
 
 import numpy as np
@@ -66,6 +68,20 @@ def reference_lstm_backward(d_hs, caches, blk, hidden, prefix, grads):
     return d_xs
 
 
+def reference_char_features_forward(text, vocab, params, config):
+    w, f_count = config.char_filter_width, config.char_filter_count
+    idx = vocab.encode(text)
+    if len(idx) < w:
+        pad = [vocab.pad_index] * ((w - 1) // 2)
+        idx = pad + idx + pad
+    win_idx = np.array([idx[p: p + w] for p in range(len(idx) - w + 1)])
+    windows = params.char_embeddings[win_idx].reshape(len(win_idx), -1)
+    activ = np.tanh(windows @ params.conv_filters.reshape(f_count, -1).T + params.conv_bias)
+    argmax = activ.argmax(axis=0)
+    feat = activ[argmax, np.arange(f_count)]
+    return feat, {"win_idx": win_idx, "windows": windows, "activ": activ, "argmax": argmax}
+
+
 def reference_char_features_backward(d_feat, cache, params, config, grads):
     w, f_count, d = config.char_filter_width, config.char_filter_count, config.char_embed_dim
     activ, argmax, windows, win_idx = cache["activ"], cache["argmax"], cache["windows"], cache["win_idx"]
@@ -81,6 +97,29 @@ def reference_char_features_backward(d_feat, cache, params, config, grads):
             grads["char_embeddings"][win_idx[p, k]] += d_windows[p, k * d: (k + 1) * d]
 
 
+def reference_sentence(texts, table, params, config, vocab, mask, d_emis, grads):
+    """One sentence through the per-token char-CNN and the per-step BiLSTM,
+    forward and backward; returns its emissions and adds to grads."""
+    h = config.lstm_hidden
+    chars = [reference_char_features_forward(t, vocab, params, config) for t in texts]
+    xs = np.concatenate([np.stack([table.lookup(t) for t in texts]), np.stack([f for f, _ in chars])], axis=1)
+    xs = xs * mask
+    hs_fw, cache_fw = reference_lstm_forward(xs, params.lstm_fw, h)
+    hs_bw, cache_bw = reference_lstm_forward(xs[::-1], params.lstm_bw, h)
+    hidden = np.concatenate([hs_fw, hs_bw[::-1]], axis=1)
+    emis = hidden @ params.proj_weights + params.proj_bias
+
+    grads["proj_weights"] += hidden.T @ d_emis
+    grads["proj_bias"] += d_emis.sum(axis=0)
+    d_hidden = d_emis @ params.proj_weights.T
+    d_xs = reference_lstm_backward(d_hidden[:, :h], cache_fw, params.lstm_fw, h, "lstm_fw", grads)
+    d_xs += reference_lstm_backward(d_hidden[::-1, h:], cache_bw, params.lstm_bw, h, "lstm_bw", grads)[::-1]
+    d_xs = d_xs * mask
+    for t, (_, cache) in enumerate(chars):
+        reference_char_features_backward(d_xs[t, config.word_dim:], cache, params, config, grads)
+    return emis
+
+
 def assert_close(got, ref):
     # A sum of many signed terms can cancel to near zero, where the reordered
     # sum differs from the reference by a few ulps of the terms, not of the
@@ -88,10 +127,11 @@ def assert_close(got, ref):
     np.testing.assert_allclose(got, ref, rtol=RTOL, atol=RTOL * np.max(np.abs(ref)))
 
 
-# -- BiLSTM at the paper's sizes -------------------------------------------------
+# -- packed BiLSTM at the paper's sizes, on a ragged batch -------------------------
 
 PAPER = N.NetworkConfig(num_tags=25, word_dim=200, lstm_hidden=200)
 WORDS = [f"w{i}" for i in range(30)] + ["Prednisone", "anti-dsDNA", "fever", "a", "SLE"]
+LENGTHS = [7, 1, 40, 2]  # shuffled, so that packing must reorder the sentences
 
 
 def _paper_setup():
@@ -99,30 +139,37 @@ def _paper_setup():
     vocab = CharVocab(tuple("abcdefghijklmnopqrstuvwxyz0123456789-ADNPS"))
     table = EmbeddingTable(WORDS[:-5], rng.normal(size=(len(WORDS) - 5, PAPER.word_dim)))
     params = N.init_network_params(PAPER, len(vocab), rng)
-    texts = [WORDS[int(k)] for k in rng.integers(0, len(WORDS), size=40)]
+    texts = [WORDS[int(k)] for k in rng.integers(0, len(WORDS), size=sum(LENGTHS))]
     d_emis = rng.normal(size=(len(texts), PAPER.num_tags))
     return vocab, table, params, texts, d_emis
 
 
-def _run(params, texts, table, vocab, d_emis, dropout_seed):
-    emis, cache = N.emissions_forward(texts, table, params, PAPER, vocab, dropout_seed)
-    grads = {name: np.zeros_like(arr) for name, arr in params.param_items()}
-    N.emissions_backward(d_emis, cache, params, PAPER, grads)
-    return emis, grads
+def _zero_grads(params):
+    return {name: np.zeros_like(arr) for name, arr in params.param_items()}
 
 
 @pytest.mark.parametrize("dropout_seed", [None, 17], ids=["dropout-off", "dropout-on"])
-def test_hoisted_bilstm_matches_per_step_reference(monkeypatch, dropout_seed):
+def test_hoisted_bilstm_matches_per_step_reference(dropout_seed):
     vocab, table, params, texts, d_emis = _paper_setup()
-    emis, grads = _run(params, texts, table, vocab, d_emis, dropout_seed)
+    emis, cache = N.emissions_forward(texts, LENGTHS, table, params, PAPER, vocab, dropout_seed)
+    grads = _zero_grads(params)
+    N.emissions_backward(d_emis, cache, params, PAPER, grads)
 
-    monkeypatch.setattr(N, "_lstm_forward", reference_lstm_forward)
-    monkeypatch.setattr(N, "_lstm_backward", reference_lstm_backward)
-    monkeypatch.setattr(N, "char_features_backward", reference_char_features_backward)
-    ref_emis, ref_grads = _run(params, texts, table, vocab, d_emis, dropout_seed)
+    ref_grads = _zero_grads(params)
+    ref_emis, masks, end = [], [], 0
+    for j, n in enumerate(LENGTHS):
+        rows = slice(end, end + n)
+        end += n
+        shape = (n, PAPER.lstm_input_dim)
+        masks.append(np.ones(shape) if dropout_seed is None else N.dropout_mask(shape, PAPER.dropout_rate, [dropout_seed, j]))
+        ref_emis.append(reference_sentence(texts[rows], table, params, PAPER, vocab, masks[-1], d_emis[rows], ref_grads))
 
-    assert len(texts) == 40 and PAPER.lstm_hidden == 200
-    assert_close(emis, ref_emis)
+    assert PAPER.lstm_hidden == 200
+    if dropout_seed is None:
+        assert cache["mask"] is None
+    else:
+        assert np.array_equal(cache["mask"], np.concatenate(masks))
+    assert_close(emis, np.concatenate(ref_emis))
     for name, ref in ref_grads.items():
         assert np.any(ref != 0.0), name
         assert_close(grads[name], ref)
@@ -130,25 +177,33 @@ def test_hoisted_bilstm_matches_per_step_reference(monkeypatch, dropout_seed):
 
 def test_hoisted_lstm_input_gradients_match_reference():
     rng = np.random.default_rng(3)
-    hidden, T, d_in = 200, 40, 230
-    blk = N.LstmBlock(wx=rng.uniform(-0.1, 0.1, (4 * hidden, d_in)),
-                      wh=rng.uniform(-0.1, 0.1, (4 * hidden, hidden)),
-                      b=rng.uniform(-0.1, 0.1, 4 * hidden))
-    xs = rng.normal(size=(T, d_in))
-    d_hs = rng.normal(size=(T, hidden))
+    hidden, d_in = 200, 230
+    blocks = [N.LstmBlock(wx=rng.uniform(-0.1, 0.1, (4 * hidden, d_in)),
+                          wh=rng.uniform(-0.1, 0.1, (4 * hidden, hidden)),
+                          b=rng.uniform(-0.1, 0.1, 4 * hidden)) for _ in range(2)]
+    params = N.NetworkParams(None, None, None, *blocks, None, None)
+    xs = rng.normal(size=(sum(LENGTHS), d_in))
+    d_hs = rng.normal(size=(sum(LENGTHS), 2 * hidden))
 
-    hs, cache = N._lstm_forward(xs, blk, hidden)
-    ref_hs, ref_cache = reference_lstm_forward(xs, blk, hidden)
-    assert_close(hs, ref_hs)
+    hs, cache = N._bilstm_forward(xs, np.array(LENGTHS), params, hidden)
+    grads = {f"{p}.{n}": np.zeros_like(getattr(b, n)) for p, b in zip(("lstm_fw", "lstm_bw"), blocks)
+             for n in ("wx", "wh", "b")}
+    ref_grads = {name: np.zeros_like(arr) for name, arr in grads.items()}
+    d_xs = N._bilstm_backward(d_hs, cache, params, hidden, grads)
 
-    names = ("blk.wx", "blk.wh", "blk.b")
-    grads = {n: np.zeros_like(a) for n, a in zip(names, (blk.wx, blk.wh, blk.b))}
-    ref_grads = {n: np.zeros_like(a) for n, a in zip(names, (blk.wx, blk.wh, blk.b))}
-    d_xs = N._lstm_backward(d_hs, cache, blk, hidden, "blk", grads)
-    ref_d_xs = reference_lstm_backward(d_hs, ref_cache, blk, hidden, "blk", ref_grads)
-    assert_close(d_xs, ref_d_xs)
-    for n in names:
-        assert_close(grads[n], ref_grads[n])
+    end = 0
+    for n in LENGTHS:
+        rows = slice(end, end + n)
+        end += n
+        ref_fw, cache_fw = reference_lstm_forward(xs[rows], blocks[0], hidden)
+        ref_bw, cache_bw = reference_lstm_forward(xs[rows][::-1], blocks[1], hidden)
+        assert_close(hs[rows], np.concatenate([ref_fw, ref_bw[::-1]], axis=1))
+        ref_d_xs = reference_lstm_backward(d_hs[rows, :hidden], cache_fw, blocks[0], hidden, "lstm_fw", ref_grads)
+        ref_d_xs += reference_lstm_backward(d_hs[rows, hidden:][::-1], cache_bw, blocks[1], hidden, "lstm_bw",
+                                            ref_grads)[::-1]
+        assert_close(d_xs[rows], ref_d_xs)
+    for name, ref in ref_grads.items():
+        assert_close(grads[name], ref)
 
 
 # -- CRF log-sum-exp against scipy ------------------------------------------------

@@ -26,6 +26,16 @@ def table():
     return EmbeddingTable(("fever", "rash", "the", "high"), rng.normal(size=(4, 4)))
 
 
+def emissions(texts, table, params, config, vocab, dropout_seed=None):
+    """Emissions of one sentence through the batched forward pass."""
+    return N.emissions_forward(texts, [len(texts)], table, params, config, vocab, dropout_seed)[0]
+
+
+def char_features(text, vocab, params, config):
+    """Char features of one token through the batched forward pass."""
+    return N.char_features_forward([text], vocab, params, config)[0][0]
+
+
 def zero_params(config, vocab):
     rng = np.random.default_rng(0)
     params = N.init_network_params(config, len(vocab), rng)
@@ -63,15 +73,15 @@ class TestCharFeatures:
     def test_zero_parameters_give_zero_vector(self, vocab):
         config = make_config()
         params = zero_params(config, vocab)
-        feat = N.char_features_forward("a", vocab, params, config)[0]
+        feat = char_features("a", vocab, params, config)
         assert np.array_equal(feat, np.zeros(config.char_filter_count))
 
     def test_identical_tokens_identical_features(self, vocab):
         config = make_config()
         rng = np.random.default_rng(1)
         params = N.init_network_params(config, len(vocab), rng)
-        f1 = N.char_features_forward("fever", vocab, params, config)[0]
-        f2 = N.char_features_forward("fever", vocab, params, config)[0]
+        f1 = char_features("fever", vocab, params, config)
+        f2 = char_features("fever", vocab, params, config)
         assert np.array_equal(f1, f2)
 
     def test_single_filter_detects_a_trigram(self, vocab):
@@ -84,7 +94,7 @@ class TestCharFeatures:
         trigram = [vocab.encode("eve")[i] for i in range(3)]
         params.conv_filters[0] = params.char_embeddings[trigram]
 
-        feat = N.char_features_forward("fever", vocab, params, config)[0]
+        feat = char_features("fever", vocab, params, config)
 
         # Hand convolution over the 3 windows of "fever".
         emb = params.char_embeddings[vocab.encode("fever")]
@@ -101,9 +111,29 @@ class TestCharFeatures:
         config = make_config()
         rng = np.random.default_rng(3)
         params = N.init_network_params(config, len(vocab), rng)
-        feat = N.char_features_forward("a", vocab, params, config)[0]
+        feat = char_features("a", vocab, params, config)
         assert feat.shape == (config.char_filter_count,)
         assert np.all(np.isfinite(feat))
+
+    def test_a_bare_string_is_not_a_token_list(self, vocab):
+        config = make_config()
+        params = N.init_network_params(config, len(vocab), np.random.default_rng(3))
+        with pytest.raises(ValidationError, match="not a string"):
+            N.char_features_forward("fever", vocab, params, config)
+
+    def test_batched_tokens_match_each_token_alone(self, vocab):
+        # Tokens of 1, 2 and 20 chars: the short ones have one window, the
+        # long one eighteen, so no window of another token may win a max.
+        config = make_config(char_filter_count=8)
+        rng = np.random.default_rng(9)
+        params = N.init_network_params(config, len(vocab), rng)
+        params.char_embeddings[...] = rng.normal(size=params.char_embeddings.shape)
+        tokens = ["a", "ab", "abcdefghijklmnopqrst", "a"]
+        feats, _ = N.char_features_forward(tokens, vocab, params, config)
+        assert feats.shape == (4, 8)
+        for token, feat in zip(tokens, feats):
+            # One GEMM over more rows may round the last bit differently.
+            np.testing.assert_allclose(feat, char_features(token, vocab, params, config), rtol=1e-12, atol=1e-15)
 
 
 class TestEmissions:
@@ -111,7 +141,7 @@ class TestEmissions:
         config = make_config()
         params = zero_params(config, vocab)
         params.proj_bias[...] = np.arange(config.num_tags, dtype=float)
-        emis = N.emissions(["fever", "rash", "the"], table, params, config, vocab)
+        emis = emissions(["fever", "rash", "the"], table, params, config, vocab)
         assert emis.shape == (3, config.num_tags)
         for row in emis:
             assert np.allclose(row, params.proj_bias)
@@ -119,8 +149,8 @@ class TestEmissions:
     def test_deterministic_without_dropout(self, vocab, table):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(4))
-        a = N.emissions(["fever", "high"], table, params, config, vocab)
-        b = N.emissions(["fever", "high"], table, params, config, vocab)
+        a = emissions(["fever", "high"], table, params, config, vocab)
+        b = emissions(["fever", "high"], table, params, config, vocab)
         assert np.array_equal(a, b)
 
     def test_matches_hand_unrolled_lstm(self, vocab):
@@ -165,22 +195,22 @@ class TestEmissions:
                 for t in range(2)
             ]
         )
-        emis = N.emissions(["u", "v"], table, params, config, vocab)
+        emis = emissions(["u", "v"], table, params, config, vocab)
         assert np.max(np.abs(emis - expected)) < 1e-10
 
     @pytest.mark.parametrize("T", [1, 2, 17, 64])
     def test_output_shape(self, vocab, table, T):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(5))
-        emis = N.emissions(["fever"] * T, table, params, config, vocab)
+        emis = emissions(["fever"] * T, table, params, config, vocab)
         assert emis.shape == (T, config.num_tags)
 
     def test_reversal_is_not_reversal_of_rows(self, vocab, table):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(6))
         words = ["fever", "rash", "the", "high"]
-        fwd = N.emissions(words, table, params, config, vocab)
-        rev = N.emissions(words[::-1], table, params, config, vocab)
+        fwd = emissions(words, table, params, config, vocab)
+        rev = emissions(words[::-1], table, params, config, vocab)
         assert not np.allclose(rev, fwd[::-1])
 
     def test_finite_for_bounded_parameters(self, vocab, table):
@@ -188,39 +218,39 @@ class TestEmissions:
         params = N.init_network_params(config, len(vocab), np.random.default_rng(7))
         for _, arr in params.param_items():
             arr[...] = np.clip(arr * 100, -5, 5)
-        emis = N.emissions(["fever", "rash"] * 20, table, params, config, vocab)
+        emis = emissions(["fever", "rash"] * 20, table, params, config, vocab)
         assert np.all(np.isfinite(emis))
 
     def test_rejects_empty_and_oversized(self, vocab, table):
         config = make_config()
         params = zero_params(config, vocab)
         with pytest.raises(ValidationError):
-            N.emissions([], table, params, config, vocab)
+            emissions([], table, params, config, vocab)
         with pytest.raises(ValidationError):
-            N.emissions(["a"] * (N.MAX_SENTENCE_LEN + 1), table, params, config, vocab)
+            emissions(["a"] * (N.MAX_SENTENCE_LEN + 1), table, params, config, vocab)
 
     def test_non_finite_parameters_name_the_stage(self, vocab, table):
         config = make_config()
         params = zero_params(config, vocab)
         params.proj_bias[0] = np.inf
         with pytest.raises(NumericError, match="projection"):
-            N.emissions(["fever"], table, params, config, vocab)
+            emissions(["fever"], table, params, config, vocab)
 
     def test_word_dim_mismatch(self, vocab):
         config = make_config(word_dim=9)
         params = zero_params(config, vocab)
         bad_table = EmbeddingTable(("a",), np.zeros((1, 4)))
         with pytest.raises(ValidationError):
-            N.emissions(["a"], bad_table, params, config, vocab)
+            emissions(["a"], bad_table, params, config, vocab)
 
 
 class TestDropout:
     def test_masks_are_seeded(self, vocab, table):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(8))
-        a = N.emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=11)
-        b = N.emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=11)
-        c = N.emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=12)
+        a = emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=11)
+        b = emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=11)
+        c = emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=12)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 

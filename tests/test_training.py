@@ -119,6 +119,21 @@ class TestLossAndGradients:
             assert abs(fd - grads[name][ix]) / denom < 1e-3, name
 
 
+    def test_one_network_forward_and_backward_per_batch(self, labels, toy_table, tiny_setup, monkeypatch):
+        config, sents, vocab, net, crf = tiny_setup
+        calls = {"emissions_forward": 0, "emissions_backward": 0}
+        for name in calls:
+            real = getattr(N, name)
+
+            def counting(*args, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(N, name, counting)
+        T.loss_and_gradients(sents, net, crf, toy_table, config, vocab, labels, seed=5)
+        assert len(sents) == 3 and calls == {"emissions_forward": 1, "emissions_backward": 1}
+
+
 class TestClipping:
     def test_large_gradients_scaled_to_norm(self):
         grads = {"a": np.full(4, 100.0), "b": np.full(3, -50.0)}
@@ -298,16 +313,36 @@ class TestCheckpoint:
         with pytest.raises(UnsupportedVersionError, match="999.*1"):
             T.load_checkpoint(path)
 
-    def test_load_keeps_the_table_float32_and_the_weights_float64(self, trained, toy_table, tmp_path):
+    def test_load_keeps_the_table_and_the_weights_float32_aligned_views(self, trained, toy_table, tmp_path):
         _, result = trained
         path = tmp_path / "model.ckpt"
         T.save_checkpoint(result.checkpoint, path)
         loaded = T.load_checkpoint(path)
         assert loaded.embeddings.matrix.dtype == np.float32
-        assert not loaded.embeddings.matrix.flags.owndata  # a view of the payload, not a copy
         assert loaded.embeddings.words == toy_table.words
         assert np.array_equal(loaded.embeddings.matrix, toy_table.matrix)
-        assert all(arr.dtype == np.float64 for _, arr in T.all_param_items(loaded.network, loaded.crf))
+        tensors = [arr for _, arr in T.all_param_items(loaded.network, loaded.crf)]
+        for arr in [*tensors, loaded.embeddings.matrix, loaded.embeddings.unk_vector]:
+            assert arr.dtype == np.float32 and arr.flags.aligned and arr.flags.c_contiguous
+            assert not arr.flags.owndata  # a view of the one payload buffer, not a copy
+        assert len({id(arr.base) for arr in tensors}) == 1
+
+    def test_in_memory_and_reloaded_checkpoints_predict_identically(self, trained, toy_corpus, tmp_path):
+        _, result = trained
+        ckpt = result.checkpoint
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(ckpt, path)
+        loaded = T.load_checkpoint(path)
+        for (name, arr), (_, again) in zip(T.all_param_items(ckpt.network, ckpt.crf),
+                                           T.all_param_items(loaded.network, loaded.crf)):
+            assert arr.dtype == np.float32 and np.array_equal(arr, again), name
+        texts = [t for d in toy_corpus for s in d.sentences for t in s.texts]
+        lengths = [len(s) for d in toy_corpus for s in d.sentences]
+        emis = [N.emissions_forward(texts, lengths, c.embeddings, c.network, c.config, c.char_vocab)[0]
+                for c in (ckpt, loaded)]
+        assert emis[0].dtype == np.float32 and np.array_equal(emis[0], emis[1])
+        tags = [[s.tags for d in T.predict_documents(c, toy_corpus) for s in d.sentences] for c in (ckpt, loaded)]
+        assert tags[0] == tags[1]
 
     def test_sorted_word_order_still_loads(self, trained, toy_table, tmp_path):
         # Checkpoints written before the table kept its file order list the
@@ -445,6 +480,39 @@ class TestPredict:
         (sent,) = pred.sentences
         assert sent.texts == ["fever"] * 600
         validate_bio(sent.tags, labels)
+
+    def test_one_network_forward_for_a_three_sentence_document(self, trained, toy_corpus, monkeypatch):
+        _, result = trained
+        forwards = []
+        real = N.emissions_forward
+
+        def counting(texts, lengths, *args, **kw):
+            forwards.append(list(lengths))
+            return real(texts, lengths, *args, **kw)
+
+        monkeypatch.setattr(N, "emissions_forward", counting)
+        doc = Document("three", tuple(toy_corpus[0].sentences[:3]))
+        assert len(doc.sentences) == 3
+        (pred,) = T.predict_documents(result.checkpoint, [doc])
+        assert forwards == [[len(s) for s in doc.sentences]]
+        assert [s.texts for s in pred.sentences] == [s.texts for s in doc.sentences]
+
+    def test_chunks_are_grouped_up_to_the_sentence_limit(self, trained, monkeypatch):
+        _, result = trained
+        forwards = []
+        real = N.emissions_forward
+
+        def counting(texts, lengths, *args, **kw):
+            forwards.append(list(lengths))
+            return real(texts, lengths, *args, **kw)
+
+        monkeypatch.setattr(N, "emissions_forward", counting)
+        sizes = [300, 200, 12, 600, 5]
+        docs = [Document(f"d{n}", (Sentence(tuple(Token("fever") for _ in range(n))),)) for n in sizes]
+        with pytest.warns(UserWarning, match="splitting a 600-token sentence"):
+            pred = T.predict_documents(result.checkpoint, docs)
+        assert forwards == [[300, 200, 12], [512], [88, 5]]
+        assert [len(d.sentences[0]) for d in pred] == sizes
 
     def test_bio_mask_is_built_once_per_call(self, trained, toy_corpus, monkeypatch):
         _, result = trained

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,13 +60,13 @@ class LabelSet:
     def __len__(self):
         return len(self.labels)
 
-    @property
+    @cached_property
     def tags(self) -> tuple[str, ...]:
-        out = ["O"]
-        for lab in self.labels:
-            out.append(f"B-{lab}")
-            out.append(f"I-{lab}")
-        return tuple(out)
+        return ("O", *(f"{prefix}-{lab}" for lab in self.labels for prefix in "BI"))
+
+    @cached_property
+    def _tag_ids(self) -> dict[str, int]:
+        return {tag: k for k, tag in enumerate(self.tags)}
 
     @property
     def num_tags(self) -> int:
@@ -73,8 +74,8 @@ class LabelSet:
 
     def tag_index(self, tag: str) -> int:
         try:
-            return self.tags.index(tag)
-        except ValueError:
+            return self._tag_ids[tag]
+        except KeyError:
             raise SchemaError(f"unknown tag {tag!r}") from None
 
 
@@ -115,7 +116,7 @@ class Token:
     tag: str = "O"
 
     def __post_init__(self):
-        if not self.text or any(c.isspace() for c in self.text):
+        if self.text.split() != [self.text]:  # also rejects the empty string
             raise ValidationError(f"token text must be non-empty and whitespace-free: {self.text!r}")
         _split_tag(self.tag)
 
@@ -179,14 +180,15 @@ def tags_to_spans(sentence: Sentence | list[str], sentence_index: int = 0) -> li
     """Decode a BIO-valid tag sequence into sorted, non-overlapping spans."""
     tags = sentence.tags if isinstance(sentence, Sentence) else list(sentence)
     spans = []
-    open_start, open_label = None, None
+    open_start, open_label, inside = None, None, None  # inside: the tag that continues the open span
     for i, tag in enumerate(tags):
-        prefix, label = _split_tag(tag)
-        if open_start is not None and (prefix != "I" or label != open_label):
+        if tag == inside:
+            continue
+        if open_start is not None:
             spans.append(EntitySpan(sentence_index, open_start, i, open_label))
-            open_start, open_label = None, None
-        if prefix == "B":
-            open_start, open_label = i, label
+            open_start, inside = None, None
+        if tag != "O" and _split_tag(tag)[0] == "B":
+            open_start, open_label, inside = i, tag[2:], "I-" + tag[2:]
     if open_start is not None:
         spans.append(EntitySpan(sentence_index, open_start, len(tags), open_label))
     return spans

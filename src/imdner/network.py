@@ -247,11 +247,12 @@ def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: NetworkParams, 
     return out, cache
 
 
-def _bilstm_backward(d_out: np.ndarray, cache, params: NetworkParams, hidden: int, grads):
+def _bilstm_backward(d_out: np.ndarray, cache, params: NetworkParams, hidden: int, grads, frozen: int):
     """BPTT through both directions; d_out (N, 2H) are gradients on the
     hidden states in sentence order. The time loop only carries dh/dc
     through Wh and fills the stacked gate gradients dZ; the weight and input
-    gradients are then 2-D GEMMs per direction. Returns d xs (N, In)."""
+    gradients are then 2-D GEMMs per direction. Returns d xs (N, In - frozen):
+    the first `frozen` input columns take no gradient."""
     rows, start, active, prev = cache["rows"], cache["start"], cache["active"], cache["prev"]
     gates, tanh_cs, x = cache["gates"], cache["tanh_cs"], cache["x"]
     n_tok = len(d_out)
@@ -279,12 +280,12 @@ def _bilstm_backward(d_out: np.ndarray, cache, params: NetworkParams, hidden: in
         dc_next = dc * f[:, a: a + n]
     d_z = d_z.reshape(2, n_tok, -1)
     h_prev = cache["hs"][:, prev]
-    d_xs = np.zeros((n_tok, x.shape[2]), dtype=d_out.dtype)
+    d_xs = np.zeros((n_tok, x.shape[2] - frozen), dtype=d_out.dtype)
     for d, (prefix, blk) in enumerate((("lstm_fw", params.lstm_fw), ("lstm_bw", params.lstm_bw))):
         grads[f"{prefix}.wx"] += d_z[d].T @ x[d]
         grads[f"{prefix}.wh"] += d_z[d].T @ h_prev[d]
         grads[f"{prefix}.b"] += d_z[d].sum(axis=0)
-        d_xs[rows[d]] += d_z[d] @ blk.wx
+        d_xs[rows[d]] += d_z[d] @ blk.wx[:, frozen:]
     return d_xs
 
 
@@ -336,8 +337,9 @@ def emissions_backward(d_emis: np.ndarray, cache, params: NetworkParams, config:
     hidden = cache["hidden"]
     grads["proj_weights"] += hidden.T @ d_emis
     grads["proj_bias"] += d_emis.sum(axis=0)
-    d_xs = _bilstm_backward(d_emis @ params.proj_weights.T, cache["lstm_cache"], params, config.lstm_hidden, grads)
-    if cache["mask"] is not None:
-        d_xs *= cache["mask"]
     # Word vectors are frozen; only the char features take a gradient.
-    char_features_backward(d_xs[:, config.word_dim:], cache["char_cache"], params, config, grads)
+    d_chars = _bilstm_backward(d_emis @ params.proj_weights.T, cache["lstm_cache"], params, config.lstm_hidden, grads,
+                               frozen=config.word_dim)
+    if cache["mask"] is not None:
+        d_chars *= cache["mask"][:, config.word_dim:]
+    char_features_backward(d_chars, cache["char_cache"], params, config, grads)

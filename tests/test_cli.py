@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import imdner
 from imdner.cli import main
@@ -258,6 +262,39 @@ def test_damaged_checkpoint_is_one_error_line_naming_it(case, command, model_pat
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:") and named in err, err
+
+
+# Fragments of CoNLL text, good and bad, so that random joins reach past the
+# UTF-8 decoder and the line splitter into tags, spans and the graph.
+_TEXTS = [b"SLE", b"pain", b"C:\\", b'"', b"\xc3\xa9", b"\x00", b" ", b"\x0b", b"\r", b"\xff", b"\xef\xbb\xbf", b""]
+_TAGS = [b"O", b"B-Symptom", b"I-Symptom", b"B-Immune_Mediated_Disease", b"I-Immune_Mediated_Disease", b"B-Nope",
+         b"I-", b"X-Symptom", b"O\tO"]
+_LINE = st.builds(lambda text, tag: text + b"\t" + tag, st.sampled_from(_TEXTS), st.sampled_from(_TAGS))
+_CORPUS_BYTES = (
+    st.binary(max_size=200)
+    | st.lists(st.sampled_from([*_TEXTS, *_TAGS, b"\t", b"\n", b"\r\n", b"-DOCSTART-"]), max_size=60).map(b"".join)
+    | st.lists(_LINE | st.sampled_from([b"", b"-DOCSTART-"]), max_size=30).map(b"\n".join)
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_CORPUS_BYTES, argv=st.sampled_from([["kg"], ["kg", "--format", "dot"], ["stats"]]))
+@example(data=b"C:\\\tB-Symptom\nSLE\tB-Immune_Mediated_Disease\n", argv=["kg", "--format", "dot"])
+@example(data=b"a\tI-Symptom\n", argv=["stats"])
+@example(data=b"\xef\xbb\xbf-DOCSTART-\r\n\r\n", argv=["kg"])
+def test_any_corpus_bytes_give_a_result_or_one_error_line(data, argv, tmp_path):
+    corpus, out = tmp_path / "corpus.conll", tmp_path / "out"
+    corpus.write_bytes(data)
+    out.unlink(missing_ok=True)  # tmp_path is shared by every example
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([*argv, "--corpus", str(corpus), "--out", str(out)])
+    err = err.getvalue()
+    if rc == 0:
+        assert err == "" and out.exists()
+    else:
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 def test_import_loads_no_scipy():

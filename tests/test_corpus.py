@@ -43,6 +43,21 @@ class TestLabelSet:
         assert ls.tags == ("O", "B-Symptom", "I-Symptom", "B-Treatment", "I-Treatment")
         assert ls.tag_index("I-Treatment") == 4
 
+    @pytest.mark.parametrize("labels", [DEFAULT_LABELS, ("A",), ("Symptom", "Treatment")])
+    def test_every_tag_round_trips_through_tag_index(self, labels):
+        ls = LabelSet(labels)
+        assert len(ls.tags) == ls.num_tags
+        assert [ls.tags[ls.tag_index(tag)] for tag in ls.tags] == list(ls.tags)
+        assert ls.tags is ls.tags  # built once per label set
+        for unknown in ("B-Nope", "o", "B-", ""):
+            with pytest.raises(SchemaError):
+                ls.tag_index(unknown)
+
+    def test_cached_tags_leave_equality_and_hash_alone(self):
+        a, b = LabelSet(("A", "B")), LabelSet(("A", "B"))
+        a.tag_index("B-A")
+        assert a == b and hash(a) == hash(b)
+
 
 class TestParseConll:
     def test_minimal_single_token(self):
@@ -138,6 +153,27 @@ class TestSpanCodec:
     def test_encode_rejects_out_of_bounds(self):
         with pytest.raises(ValidationError):
             spans_to_tags(2, [EntitySpan(0, 1, 3, "Symptom")])
+
+    @given(st.lists(st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B"]), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_decoder_matches_per_tag_reference_on_any_tags(self, tags):
+        """Also on BIO-invalid input, where an I- that continues nothing opens
+        no span and closes the open one."""
+        expected, open_start, open_label = [], None, None
+        for i, tag in enumerate(tags):
+            prefix, label = (tag, None) if tag == "O" else tag.split("-", 1)
+            if open_start is not None and (prefix != "I" or label != open_label):
+                expected.append(EntitySpan(3, open_start, i, open_label))
+                open_start = None
+            if prefix == "B":
+                open_start, open_label = i, label
+        if open_start is not None:
+            expected.append(EntitySpan(3, open_start, len(tags), open_label))
+        assert tags_to_spans(tags, sentence_index=3) == expected
+
+    def test_decoder_rejects_a_malformed_tag(self):
+        with pytest.raises(TaggingError):
+            tags_to_spans(["B-A", "I-A", "X-A"])
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -251,6 +287,15 @@ class TestTypes:
             Token("two words")
         with pytest.raises(ValidationError):
             Token("")
+
+    def test_token_rejects_exactly_the_whitespace_code_points(self):
+        rejected = []
+        for code in range(0x110000):
+            try:
+                Token(chr(code))
+            except ValidationError:
+                rejected.append(chr(code))
+        assert rejected == [c for c in map(chr, range(0x110000)) if c.isspace()]
 
     def test_sentence_rejects_invalid_bio(self):
         with pytest.raises(TaggingError):

@@ -176,8 +176,10 @@ def test_hoisted_bilstm_matches_per_step_reference(dropout_seed):
 
 
 def test_hoisted_lstm_input_gradients_match_reference():
+    """The weight gradients and the input gradients of the unfrozen (char)
+    columns; the first `frozen` (word-vector) columns take none."""
     rng = np.random.default_rng(3)
-    hidden, d_in = 200, 230
+    hidden, d_in, frozen = 200, 230, 200
     blocks = [N.LstmBlock(wx=rng.uniform(-0.1, 0.1, (4 * hidden, d_in)),
                           wh=rng.uniform(-0.1, 0.1, (4 * hidden, hidden)),
                           b=rng.uniform(-0.1, 0.1, 4 * hidden)) for _ in range(2)]
@@ -189,7 +191,8 @@ def test_hoisted_lstm_input_gradients_match_reference():
     grads = {f"{p}.{n}": np.zeros_like(getattr(b, n)) for p, b in zip(("lstm_fw", "lstm_bw"), blocks)
              for n in ("wx", "wh", "b")}
     ref_grads = {name: np.zeros_like(arr) for name, arr in grads.items()}
-    d_xs = N._bilstm_backward(d_hs, cache, params, hidden, grads)
+    d_xs = N._bilstm_backward(d_hs, cache, params, hidden, grads, frozen)
+    assert d_xs.shape == (len(xs), d_in - frozen)
 
     end = 0
     for n in LENGTHS:
@@ -201,7 +204,7 @@ def test_hoisted_lstm_input_gradients_match_reference():
         ref_d_xs = reference_lstm_backward(d_hs[rows, :hidden], cache_fw, blocks[0], hidden, "lstm_fw", ref_grads)
         ref_d_xs += reference_lstm_backward(d_hs[rows, hidden:][::-1], cache_bw, blocks[1], hidden, "lstm_bw",
                                             ref_grads)[::-1]
-        assert_close(d_xs[rows], ref_d_xs)
+        assert_close(d_xs[rows], ref_d_xs[:, frozen:])
     for name, ref in ref_grads.items():
         assert_close(grads[name], ref)
 

@@ -95,14 +95,11 @@ def _check_tag(tag, labels: LabelSet):
     return prefix, label
 
 
-def validate_bio(tags, labels: LabelSet | None = None):
+def validate_bio(tags):
     """Raise TaggingError if the tag sequence is not BIO-valid."""
     prev_prefix, prev_label = "O", None
     for i, tag in enumerate(tags):
-        if labels is not None:
-            prefix, label = _check_tag(tag, labels)
-        else:
-            prefix, label = _split_tag(tag)
+        prefix, label = _split_tag(tag)
         if prefix == "I":
             if prev_prefix == "O" or prev_label != label:
                 prev = "O" if prev_prefix == "O" else f"{prev_prefix}-{prev_label}"

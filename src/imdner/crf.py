@@ -138,6 +138,7 @@ def nll_gradients(emissions: np.ndarray, crf: CrfParams, gold_tags):
     return value, d_emis, d_trans, d_start, d_end
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the path score is checked
 def viterbi(emissions: np.ndarray, crf: CrfParams) -> PathScore:
     """Maximum-score tag sequence; ties resolved toward the lowest index."""
     check_finite(emissions, "emissions")
@@ -172,6 +173,7 @@ def bio_transition_mask(labels: LabelSet) -> np.ndarray:
     return np.where(np.vstack([forbidden, inside]), MASK_SCORE, 0.0)
 
 
+@np.errstate(invalid="ignore")  # inf + MASK_SCORE is NaN, which viterbi rejects
 def masked(crf: CrfParams, labels: LabelSet) -> CrfParams:
     """CRF parameters with the hard BIO mask applied, for decoding only.
 

@@ -7,6 +7,12 @@ float64 in training, float32 from a checkpoint. Dropout applies only when a
 seed is supplied; sentence j's mask is drawn from [seed, j]. The forward pass
 caches every intermediate the manual backward pass needs.
 
+The weights are a dict of named tensors whose names, shapes and order
+param_shapes declares; the gradients, Adam and the checkpoint use the same
+names. A forward pass stops with a NumericError naming the first stage whose
+output holds a NaN or an Inf; numpy's overflow and invalid-value warnings are
+off inside it.
+
 - Char-CNN: the convolution windows of all N tokens, packed token after
   token with no padding, are gathered with one fancy index and scored with
   one GEMM. Each token keeps the max over its own windows and then applies
@@ -33,6 +39,7 @@ from .embeddings import CharVocab, EmbeddingTable
 from .errors import ValidationError, check_field_types, check_finite
 
 MAX_SENTENCE_LEN = 512
+DIRECTIONS = ("lstm_fw", "lstm_bw")
 
 
 @dataclass(frozen=True)
@@ -60,67 +67,30 @@ class NetworkConfig:
         return self.word_dim + self.char_filter_count
 
 
-@dataclass
-class LstmBlock:
-    """One direction's weights; gate order along axis 0 is [input, forget, cell, output]."""
-
-    wx: np.ndarray  # (4H, In)
-    wh: np.ndarray  # (4H, H)
-    b: np.ndarray  # (4H,)
-
-
-@dataclass
-class NetworkParams:
-    char_embeddings: np.ndarray  # (|CharVocab|, char_embed_dim)
-    conv_filters: np.ndarray  # (filter_count, filter_width, char_embed_dim)
-    conv_bias: np.ndarray  # (filter_count,)
-    lstm_fw: LstmBlock
-    lstm_bw: LstmBlock
-    proj_weights: np.ndarray  # (2H, num_tags)
-    proj_bias: np.ndarray  # (num_tags,)
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("char_embeddings", self.char_embeddings),
-            ("conv_filters", self.conv_filters),
-            ("conv_bias", self.conv_bias),
-            ("lstm_fw.wx", self.lstm_fw.wx),
-            ("lstm_fw.wh", self.lstm_fw.wh),
-            ("lstm_fw.b", self.lstm_fw.b),
-            ("lstm_bw.wx", self.lstm_bw.wx),
-            ("lstm_bw.wh", self.lstm_bw.wh),
-            ("lstm_bw.b", self.lstm_bw.b),
-            ("proj_weights", self.proj_weights),
-            ("proj_bias", self.proj_bias),
-        ]
-
-    @classmethod
-    def from_items(cls, items) -> NetworkParams:
-        """Inverse of param_items: the (name, tensor) pairs in its order."""
-        ce, cf, cb, fw_x, fw_h, fw_b, bw_x, bw_h, bw_b, pw, pb = (arr for _, arr in items)
-        return cls(ce, cf, cb, LstmBlock(fw_x, fw_h, fw_b), LstmBlock(bw_x, bw_h, bw_b), pw, pb)
-
-
 def param_shapes(config: NetworkConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of every network tensor, in param_items order; init and load_checkpoint read it."""
+    """Name and shape of every network tensor, in the order of the weight dict.
+
+    Each LSTM direction has wx (4H, In), wh (4H, H) and b (4H,), gate order
+    along axis 0 [input, forget, cell, output].
+    """
     h, d_in = config.lstm_hidden, config.lstm_input_dim
     lstm = [("wx", (4 * h, d_in)), ("wh", (4 * h, h)), ("b", (4 * h,))]
     return [
         ("char_embeddings", (vocab_size, config.char_embed_dim)),
         ("conv_filters", (config.char_filter_count, config.char_filter_width, config.char_embed_dim)),
         ("conv_bias", (config.char_filter_count,)),
-        *((f"{direction}.{name}", shape) for direction in ("lstm_fw", "lstm_bw") for name, shape in lstm),
+        *((f"{direction}.{name}", shape) for direction in DIRECTIONS for name, shape in lstm),
         ("proj_weights", (2 * h, config.num_tags)),
         ("proj_bias", (config.num_tags,)),
     ]
 
 
-def init_network_params(config: NetworkConfig, vocab_size: int, rng: np.random.Generator) -> NetworkParams:
+def init_network_params(config: NetworkConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Seeded uniform(-0.1, 0.1) drawn in param_shapes order, forget-gate biases at 1.0."""
-    params = NetworkParams.from_items((n, rng.uniform(-0.1, 0.1, size=s)) for n, s in param_shapes(config, vocab_size))
+    params = {n: rng.uniform(-0.1, 0.1, size=s) for n, s in param_shapes(config, vocab_size)}
     h = config.lstm_hidden
-    params.lstm_fw.b[h: 2 * h] = 1.0
-    params.lstm_bw.b[h: 2 * h] = 1.0
+    for direction in DIRECTIONS:
+        params[f"{direction}.b"][h: 2 * h] = 1.0
     return params
 
 
@@ -153,15 +123,15 @@ def _char_windows(token_texts: list[str], vocab: CharVocab, width: int):
     return chars[starts[:, None] + np.arange(width)], n_pos
 
 
-def char_features_forward(token_texts: list[str], vocab: CharVocab, params: NetworkParams, config: NetworkConfig):
+def char_features_forward(token_texts: list[str], vocab: CharVocab, params: dict[str, np.ndarray], config: NetworkConfig):
     """(N, filter_count) features of N tokens: 1-D convolution over char
     embeddings, max over each token's windows, then tanh."""
     if isinstance(token_texts, str):
         raise ValidationError("char features take a list of tokens, not a string")
     f_count = config.char_filter_count
     win_idx, n_pos = _char_windows(token_texts, vocab, config.char_filter_width)
-    windows = params.char_embeddings[win_idx].reshape(len(win_idx), -1)  # (P, w*d)
-    scores = windows @ params.conv_filters.reshape(f_count, -1).T + params.conv_bias  # (P, F)
+    windows = params["char_embeddings"][win_idx].reshape(len(win_idx), -1)  # (P, w*d)
+    scores = windows @ params["conv_filters"].reshape(f_count, -1).T + params["conv_bias"]  # (P, F)
     first = np.cumsum(n_pos) - n_pos
     best = np.maximum.reduceat(scores, first, axis=0)  # (N, F)
     # The gradient goes to the first window of the token that attains the max.
@@ -171,15 +141,15 @@ def char_features_forward(token_texts: list[str], vocab: CharVocab, params: Netw
     return feat, {"win_idx": win_idx, "windows": windows, "argmax": argmax, "feat": feat}
 
 
-def char_features_backward(d_feat, cache, params: NetworkParams, config: NetworkConfig, grads):
+def char_features_backward(d_feat, cache, params: dict[str, np.ndarray], config: NetworkConfig, grads):
     """Accumulate char-CNN gradients given d loss / d features (N, filter_count)."""
     f_count, d = config.char_filter_count, config.char_embed_dim
     windows, win_idx, feat = cache["windows"], cache["win_idx"], cache["feat"]
     d_scores = np.zeros((len(windows), f_count), dtype=windows.dtype)  # nonzero only at each max
     d_scores[cache["argmax"], np.arange(f_count)] = d_feat * (1.0 - feat**2)
-    grads["conv_filters"] += (d_scores.T @ windows).reshape(params.conv_filters.shape)
+    grads["conv_filters"] += (d_scores.T @ windows).reshape(params["conv_filters"].shape)
     grads["conv_bias"] += d_scores.sum(axis=0)
-    d_windows = d_scores @ params.conv_filters.reshape(f_count, -1)  # (P, w*d)
+    d_windows = d_scores @ params["conv_filters"].reshape(f_count, -1)  # (P, w*d)
     np.add.at(grads["char_embeddings"], win_idx.ravel(), d_windows.reshape(-1, d))
 
 
@@ -204,7 +174,7 @@ def _pack(lengths: np.ndarray):
     return rows, start, active, prev
 
 
-def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: NetworkParams, hidden: int):
+def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: dict[str, np.ndarray], hidden: int):
     """Both LSTM directions over the packed sentences xs (N, In); returns the
     hidden states (N, 2H) in sentence order, [forward, backward], and the cache.
 
@@ -213,30 +183,28 @@ def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: NetworkParams, 
     """
     rows, start, active, prev = _pack(lengths)
     n_tok, batch, dtype = len(xs), len(lengths), xs.dtype
-    blocks = (params.lstm_fw, params.lstm_bw)
     x = xs[rows]  # (2, N, In), the token each direction reads at each packed row
     gates = np.empty((2, n_tok, 4 * hidden), dtype=dtype)
-    for d, blk in enumerate(blocks):
-        np.matmul(x[d], blk.wx.T, out=gates[d])
-        gates[d] += blk.b
+    for d, direction in enumerate(DIRECTIONS):
+        np.matmul(x[d], params[f"{direction}.wx"].T, out=gates[d])
+        gates[d] += params[f"{direction}.b"]
     gates = gates.reshape(2, n_tok, 4, hidden)
-    wh_t = np.stack([blk.wh for blk in blocks]).transpose(0, 2, 1).copy()  # (2, H, 4H), C-contiguous
+    wh_t = np.stack([params[f"{name}.wh"] for name in DIRECTIONS]).transpose(0, 2, 1).copy()  # (2, H, 4H), C-contiguous
     hs = np.zeros((2, batch + n_tok, hidden), dtype=dtype)
     cs = np.zeros((2, batch + n_tok, hidden), dtype=dtype)
     tanh_cs = np.empty((2, n_tok, hidden), dtype=dtype)
-    with np.errstate(over="ignore"):  # exp overflows to inf, and the sigmoid to 0
-        for t, n in enumerate(active):
-            a, b, p = start[t], batch + start[t], prev[start[t]]
-            z = gates[:, a: a + n]
-            z += np.matmul(hs[:, p: p + n], wh_t).reshape(2, n, 4, hidden)
-            g = np.tanh(z[:, :, 2])
-            _sigmoid_inplace(z)
-            z[:, :, 2] = g
-            c = cs[:, b: b + n]
-            np.multiply(z[:, :, 1], cs[:, p: p + n], out=c)
-            c += z[:, :, 0] * g
-            np.tanh(c, out=tanh_cs[:, a: a + n])
-            np.multiply(z[:, :, 3], tanh_cs[:, a: a + n], out=hs[:, b: b + n])
+    for t, n in enumerate(active):
+        a, b, p = start[t], batch + start[t], prev[start[t]]
+        z = gates[:, a: a + n]
+        z += np.matmul(hs[:, p: p + n], wh_t).reshape(2, n, 4, hidden)
+        g = np.tanh(z[:, :, 2])
+        _sigmoid_inplace(z)
+        z[:, :, 2] = g
+        c = cs[:, b: b + n]
+        np.multiply(z[:, :, 1], cs[:, p: p + n], out=c)
+        c += z[:, :, 0] * g
+        np.tanh(c, out=tanh_cs[:, a: a + n])
+        np.multiply(z[:, :, 3], tanh_cs[:, a: a + n], out=hs[:, b: b + n])
     check_finite(hs[0], "forward LSTM")
     check_finite(hs[1], "backward LSTM")
     out = np.empty((n_tok, 2 * hidden), dtype=dtype)
@@ -247,7 +215,7 @@ def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: NetworkParams, 
     return out, cache
 
 
-def _bilstm_backward(d_out: np.ndarray, cache, params: NetworkParams, hidden: int, grads, frozen: int):
+def _bilstm_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], hidden: int, grads, frozen: int):
     """BPTT through both directions; d_out (N, 2H) are gradients on the
     hidden states in sentence order. The time loop only carries dh/dc
     through Wh and fills the stacked gate gradients dZ; the weight and input
@@ -264,7 +232,7 @@ def _bilstm_backward(d_out: np.ndarray, cache, params: NetworkParams, hidden: in
     )
     dc_dh = o * (1.0 - tanh_cs**2)
     d_hs = np.stack([d_out[rows[0], :hidden], d_out[rows[1], hidden:]])  # (2, N, H), packed
-    wh = np.stack([params.lstm_fw.wh, params.lstm_bw.wh])  # (2, 4H, H)
+    wh = np.stack([params[f"{name}.wh"] for name in DIRECTIONS])  # (2, 4H, H)
     d_z = np.empty((2, n_tok, 4, hidden), dtype=d_out.dtype)
     dh_next = dc_next = np.zeros((2, 0, hidden), dtype=d_out.dtype)
     for t in range(len(active) - 1, -1, -1):
@@ -281,19 +249,22 @@ def _bilstm_backward(d_out: np.ndarray, cache, params: NetworkParams, hidden: in
     d_z = d_z.reshape(2, n_tok, -1)
     h_prev = cache["hs"][:, prev]
     d_xs = np.zeros((n_tok, x.shape[2] - frozen), dtype=d_out.dtype)
-    for d, (prefix, blk) in enumerate((("lstm_fw", params.lstm_fw), ("lstm_bw", params.lstm_bw))):
-        grads[f"{prefix}.wx"] += d_z[d].T @ x[d]
-        grads[f"{prefix}.wh"] += d_z[d].T @ h_prev[d]
-        grads[f"{prefix}.b"] += d_z[d].sum(axis=0)
-        d_xs[rows[d]] += d_z[d] @ blk.wx[:, frozen:]
+    for d, direction in enumerate(DIRECTIONS):
+        grads[f"{direction}.wx"] += d_z[d].T @ x[d]
+        grads[f"{direction}.wh"] += d_z[d].T @ h_prev[d]
+        grads[f"{direction}.b"] += d_z[d].sum(axis=0)
+        d_xs[rows[d]] += d_z[d] @ params[f"{direction}.wx"][:, frozen:]
     return d_xs
 
 
+# A sigmoid's exp may overflow to inf, which gives 0; a NaN or an Inf in any
+# stage's output is caught by the check_finite that ends the stage.
+@np.errstate(over="ignore", invalid="ignore")
 def emissions_forward(
     token_texts: list[str],
     lengths,
     table: EmbeddingTable,
-    params: NetworkParams,
+    params: dict[str, np.ndarray],
     config: NetworkConfig,
     vocab: CharVocab,
     dropout_seed=None,
@@ -318,7 +289,7 @@ def emissions_forward(
     char_feats, char_cache = char_features_forward(token_texts, vocab, params, config)
     check_finite(char_feats, "char features")
     word_vecs = np.stack([table.lookup(t) for t in token_texts])
-    xs = np.concatenate([word_vecs, char_feats], axis=1, dtype=params.lstm_fw.wx.dtype)
+    xs = np.concatenate([word_vecs, char_feats], axis=1, dtype=params["lstm_fw.wx"].dtype)
     mask = None
     if dropout_seed is not None and config.dropout_rate > 0.0:
         in_dim = xs.shape[1]
@@ -327,18 +298,18 @@ def emissions_forward(
         xs *= mask
 
     hidden, lstm_cache = _bilstm_forward(xs, lengths, params, config.lstm_hidden)
-    emis = hidden @ params.proj_weights + params.proj_bias
+    emis = hidden @ params["proj_weights"] + params["proj_bias"]
     check_finite(emis, "projection")
     return emis, {"char_cache": char_cache, "mask": mask, "lstm_cache": lstm_cache, "hidden": hidden}
 
 
-def emissions_backward(d_emis: np.ndarray, cache, params: NetworkParams, config: NetworkConfig, grads):
+def emissions_backward(d_emis: np.ndarray, cache, params: dict[str, np.ndarray], config: NetworkConfig, grads):
     """Accumulate network gradients given d loss / d emissions (N, num_tags)."""
     hidden = cache["hidden"]
     grads["proj_weights"] += hidden.T @ d_emis
     grads["proj_bias"] += d_emis.sum(axis=0)
     # Word vectors are frozen; only the char features take a gradient.
-    d_chars = _bilstm_backward(d_emis @ params.proj_weights.T, cache["lstm_cache"], params, config.lstm_hidden, grads,
+    d_chars = _bilstm_backward(d_emis @ params["proj_weights"].T, cache["lstm_cache"], params, config.lstm_hidden, grads,
                                frozen=config.word_dim)
     if cache["mask"] is not None:
         d_chars *= cache["mask"][:, config.word_dim:]

@@ -27,6 +27,9 @@ from .evaluation import evaluate
 
 CHECKPOINT_VERSION = 1
 GRAD_CLIP_NORM = 5.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     dropout_rate: float = 0.5
     seed: int = 13
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         check_field_types(self)
@@ -63,7 +63,7 @@ class AdamState:
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], cfg: TrainConfig):
         self.step_count += 1
         t = self.step_count
-        b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
         for k, p in params.items():
             g = grads[k]
             m = self.first_moment[k]
@@ -82,16 +82,16 @@ def crf_param_shapes(num_tags: int) -> list[tuple[str, tuple[int, ...]]]:
     return [("crf.transitions", (num_tags, num_tags)), ("crf.start", (num_tags,)), ("crf.end", (num_tags,))]
 
 
-def all_param_items(net_params: net_mod.NetworkParams, crf_params: crf_mod.CrfParams):
+def all_param_items(net_params: dict[str, np.ndarray], crf_params: crf_mod.CrfParams):
     """Declared tensor order, shared by Adam, gradients and the checkpoint."""
     crf_arrays = (crf_params.transitions, crf_params.start_scores, crf_params.end_scores)
     crf_names = (name for name, _ in crf_param_shapes(crf_params.num_tags))
-    return net_params.param_items() + list(zip(crf_names, crf_arrays))
+    return [*net_params.items(), *zip(crf_names, crf_arrays)]
 
 
 def loss_and_gradients(
     batch: list[Sentence],
-    net_params: net_mod.NetworkParams,
+    net_params: dict[str, np.ndarray],
     crf_params: crf_mod.CrfParams,
     table: EmbeddingTable,
     config: net_mod.NetworkConfig,
@@ -144,7 +144,7 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NOR
 
 @dataclass
 class Checkpoint:
-    network: net_mod.NetworkParams
+    network: dict[str, np.ndarray]  # keyed and ordered by network.param_shapes
     crf: crf_mod.CrfParams
     config: net_mod.NetworkConfig
     label_set: LabelSet
@@ -161,7 +161,7 @@ def make_checkpoint(net_params, crf_params, config, labels, vocab, table, metada
     The embedding table is frozen and already float32, so it is shared, not
     copied: one table serves training and every checkpoint of a run.
     """
-    net = net_mod.NetworkParams.from_items((n, arr.astype(np.float32)) for n, arr in net_params.param_items())
+    net = {n: arr.astype(np.float32) for n, arr in net_params.items()}
     crf_arrays = (crf_params.transitions, crf_params.start_scores, crf_params.end_scores)
     crf = crf_mod.CrfParams(*(arr.astype(np.float32) for arr in crf_arrays))
     return Checkpoint(net, crf, config, labels, vocab, table, metadata=dict(metadata or {}))
@@ -255,7 +255,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     offsets = np.cumsum([0, *sizes])
     arrays = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(specs, offsets, offsets[1:])}
-    net = net_mod.NetworkParams.from_items((name, arrays[name]) for name, _ in net_shapes)
+    net = {name: arrays[name] for name, _ in net_shapes}
     crf = crf_mod.CrfParams(*(arrays[name] for name, _ in crf_shapes))
     table = EmbeddingTable(words, arrays["embeddings.matrix"], arrays["embeddings.unk"])
     return Checkpoint(net, crf, config, labels, vocab, table, format_version=version, metadata=_header_field(header, "metadata", dict))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import imdner
 from imdner.cli import main
 
-from checkpoint_files import DAMAGED, damage
+from checkpoint_files import DAMAGED, damage, read_checkpoint, write_checkpoint
 
 TINY_CONFIG = {
     "epochs": 2,
@@ -226,6 +226,9 @@ def _bad_input_case(case, data_dir, tmp_path):
     if case == "config-value-of-wrong-type":
         bad.write_text('{"epochs": "x"}')
         return train + ["--config", str(bad)]
+    if case == "config-names-an-adam-constant":
+        bad.write_text('{"adam_beta1": 0.9}')
+        return train + ["--config", str(bad)]
     if case == "corpus-not-utf8":
         bad.write_bytes("fièvre\tO\n".encode("latin-1"))
         return ["stats", "--corpus", str(bad)]
@@ -238,8 +241,8 @@ def _bad_input_case(case, data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "checkpoint-header-without-tensors", "config-not-json", "config-value-of-wrong-type", "corpus-not-utf8",
-    "train-negative-seed", "split-negative-seed",
+    "checkpoint-header-without-tensors", "config-not-json", "config-value-of-wrong-type",
+    "config-names-an-adam-constant", "corpus-not-utf8", "train-negative-seed", "split-negative-seed",
 ])
 def test_malformed_input_is_one_error_line_and_exit_1(case, data_dir, tmp_path, capsys):
     rc = main(_bad_input_case(case, data_dir, tmp_path))
@@ -262,6 +265,32 @@ def test_damaged_checkpoint_is_one_error_line_naming_it(case, command, model_pat
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:") and named in err, err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("tensor, value", [
+    ("crf.transitions", 3e38), ("lstm_bw.wh", float("inf")), ("proj_bias", float("nan")), ("proj_weights", 3e38),
+])
+def test_overflowing_or_non_finite_weights_give_a_result_or_one_error_line(tensor, value, command, model_path,
+                                                                           data_dir, tmp_path):
+    # In a subprocess, so that numpy's RuntimeWarnings reach stderr instead of pytest's warning capture.
+    header, tensors = read_checkpoint(model_path)
+    tensors[tensor] = tensors[tensor].copy()
+    tensors[tensor].flat[0] = value
+    bad = tmp_path / "bad.ckpt"
+    write_checkpoint(bad, header, tensors)
+    corpus = str(data_dir / "toy_corpus.conll")
+    argv = {"predict": ["--input", corpus, "--out", str(tmp_path / "out.conll")], "eval": ["--corpus", corpus]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "imdner.cli", command, "--model", str(bad), *argv[command]],
+        env={**os.environ, "PYTHONPATH": str(Path(imdner.__file__).resolve().parent.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    if proc.returncode == 0:
+        assert proc.stderr == ""
+    else:
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
 
 
 # Fragments of CoNLL text, good and bad, so that random joins reach past the

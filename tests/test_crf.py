@@ -170,7 +170,7 @@ class TestBioMask:
                         np.dtype(dtype)}
                     best = C.viterbi(emis, decode)
                     tags = [labels.tags[i] for i in best.tags]
-                    validate_bio(tags, labels)  # raises on violation
+                    validate_bio(tags)  # raises on violation
 
     def test_huge_inside_emission_cannot_beat_the_mask(self):
         # A soft -1e4 mask loses to a 2e4 emission; decoding must not.

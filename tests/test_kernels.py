@@ -24,14 +24,14 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def reference_lstm_forward(xs, blk, hidden):
+def reference_lstm_forward(xs, params, prefix, hidden):
     T = xs.shape[0]
     h = np.zeros(hidden)
     c = np.zeros(hidden)
     hs = np.zeros((T, hidden))
     caches = []
     for t in range(T):
-        z = blk.wx @ xs[t] + blk.wh @ h + blk.b
+        z = params[f"{prefix}.wx"] @ xs[t] + params[f"{prefix}.wh"] @ h + params[f"{prefix}.b"]
         i = _sigmoid(z[:hidden])
         f = _sigmoid(z[hidden: 2 * hidden])
         g = np.tanh(z[2 * hidden: 3 * hidden])
@@ -45,9 +45,9 @@ def reference_lstm_forward(xs, blk, hidden):
     return hs, caches
 
 
-def reference_lstm_backward(d_hs, caches, blk, hidden, prefix, grads):
+def reference_lstm_backward(d_hs, caches, params, hidden, prefix, grads):
     T = d_hs.shape[0]
-    d_xs = np.zeros((T, blk.wx.shape[1]))
+    d_xs = np.zeros((T, params[f"{prefix}.wx"].shape[1]))
     dh_next = np.zeros(hidden)
     dc_next = np.zeros(hidden)
     for t in range(T - 1, -1, -1):
@@ -62,8 +62,8 @@ def reference_lstm_backward(d_hs, caches, blk, hidden, prefix, grads):
         grads[f"{prefix}.wx"] += np.outer(dz, cc["x"])
         grads[f"{prefix}.wh"] += np.outer(dz, cc["h_prev"])
         grads[f"{prefix}.b"] += dz
-        d_xs[t] = blk.wx.T @ dz
-        dh_next = blk.wh.T @ dz
+        d_xs[t] = params[f"{prefix}.wx"].T @ dz
+        dh_next = params[f"{prefix}.wh"].T @ dz
         dc_next = dc * cc["f"]
     return d_xs
 
@@ -75,8 +75,8 @@ def reference_char_features_forward(text, vocab, params, config):
         pad = [vocab.pad_index] * ((w - 1) // 2)
         idx = pad + idx + pad
     win_idx = np.array([idx[p: p + w] for p in range(len(idx) - w + 1)])
-    windows = params.char_embeddings[win_idx].reshape(len(win_idx), -1)
-    activ = np.tanh(windows @ params.conv_filters.reshape(f_count, -1).T + params.conv_bias)
+    windows = params["char_embeddings"][win_idx].reshape(len(win_idx), -1)
+    activ = np.tanh(windows @ params["conv_filters"].reshape(f_count, -1).T + params["conv_bias"])
     argmax = activ.argmax(axis=0)
     feat = activ[argmax, np.arange(f_count)]
     return feat, {"win_idx": win_idx, "windows": windows, "activ": activ, "argmax": argmax}
@@ -88,8 +88,8 @@ def reference_char_features_backward(d_feat, cache, params, config, grads):
     d_activ = np.zeros_like(activ)
     d_activ[argmax, np.arange(f_count)] = d_feat
     d_scores = d_activ * (1.0 - activ**2)
-    filters_flat = params.conv_filters.reshape(f_count, -1)
-    grads["conv_filters"] += (d_scores.T @ windows).reshape(params.conv_filters.shape)
+    filters_flat = params["conv_filters"].reshape(f_count, -1)
+    grads["conv_filters"] += (d_scores.T @ windows).reshape(params["conv_filters"].shape)
     grads["conv_bias"] += d_scores.sum(axis=0)
     d_windows = d_scores @ filters_flat
     for p in range(d_windows.shape[0]):
@@ -104,16 +104,16 @@ def reference_sentence(texts, table, params, config, vocab, mask, d_emis, grads)
     chars = [reference_char_features_forward(t, vocab, params, config) for t in texts]
     xs = np.concatenate([np.stack([table.lookup(t) for t in texts]), np.stack([f for f, _ in chars])], axis=1)
     xs = xs * mask
-    hs_fw, cache_fw = reference_lstm_forward(xs, params.lstm_fw, h)
-    hs_bw, cache_bw = reference_lstm_forward(xs[::-1], params.lstm_bw, h)
+    hs_fw, cache_fw = reference_lstm_forward(xs, params, "lstm_fw", h)
+    hs_bw, cache_bw = reference_lstm_forward(xs[::-1], params, "lstm_bw", h)
     hidden = np.concatenate([hs_fw, hs_bw[::-1]], axis=1)
-    emis = hidden @ params.proj_weights + params.proj_bias
+    emis = hidden @ params["proj_weights"] + params["proj_bias"]
 
     grads["proj_weights"] += hidden.T @ d_emis
     grads["proj_bias"] += d_emis.sum(axis=0)
-    d_hidden = d_emis @ params.proj_weights.T
-    d_xs = reference_lstm_backward(d_hidden[:, :h], cache_fw, params.lstm_fw, h, "lstm_fw", grads)
-    d_xs += reference_lstm_backward(d_hidden[::-1, h:], cache_bw, params.lstm_bw, h, "lstm_bw", grads)[::-1]
+    d_hidden = d_emis @ params["proj_weights"].T
+    d_xs = reference_lstm_backward(d_hidden[:, :h], cache_fw, params, h, "lstm_fw", grads)
+    d_xs += reference_lstm_backward(d_hidden[::-1, h:], cache_bw, params, h, "lstm_bw", grads)[::-1]
     d_xs = d_xs * mask
     for t, (_, cache) in enumerate(chars):
         reference_char_features_backward(d_xs[t, config.word_dim:], cache, params, config, grads)
@@ -145,7 +145,7 @@ def _paper_setup():
 
 
 def _zero_grads(params):
-    return {name: np.zeros_like(arr) for name, arr in params.param_items()}
+    return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
 @pytest.mark.parametrize("dropout_seed", [None, 17], ids=["dropout-off", "dropout-on"])
@@ -180,16 +180,16 @@ def test_hoisted_lstm_input_gradients_match_reference():
     columns; the first `frozen` (word-vector) columns take none."""
     rng = np.random.default_rng(3)
     hidden, d_in, frozen = 200, 230, 200
-    blocks = [N.LstmBlock(wx=rng.uniform(-0.1, 0.1, (4 * hidden, d_in)),
-                          wh=rng.uniform(-0.1, 0.1, (4 * hidden, hidden)),
-                          b=rng.uniform(-0.1, 0.1, 4 * hidden)) for _ in range(2)]
-    params = N.NetworkParams(None, None, None, *blocks, None, None)
+    params = {}
+    for prefix in N.DIRECTIONS:
+        params[f"{prefix}.wx"] = rng.uniform(-0.1, 0.1, (4 * hidden, d_in))
+        params[f"{prefix}.wh"] = rng.uniform(-0.1, 0.1, (4 * hidden, hidden))
+        params[f"{prefix}.b"] = rng.uniform(-0.1, 0.1, 4 * hidden)
     xs = rng.normal(size=(sum(LENGTHS), d_in))
     d_hs = rng.normal(size=(sum(LENGTHS), 2 * hidden))
 
     hs, cache = N._bilstm_forward(xs, np.array(LENGTHS), params, hidden)
-    grads = {f"{p}.{n}": np.zeros_like(getattr(b, n)) for p, b in zip(("lstm_fw", "lstm_bw"), blocks)
-             for n in ("wx", "wh", "b")}
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     ref_grads = {name: np.zeros_like(arr) for name, arr in grads.items()}
     d_xs = N._bilstm_backward(d_hs, cache, params, hidden, grads, frozen)
     assert d_xs.shape == (len(xs), d_in - frozen)
@@ -198,11 +198,11 @@ def test_hoisted_lstm_input_gradients_match_reference():
     for n in LENGTHS:
         rows = slice(end, end + n)
         end += n
-        ref_fw, cache_fw = reference_lstm_forward(xs[rows], blocks[0], hidden)
-        ref_bw, cache_bw = reference_lstm_forward(xs[rows][::-1], blocks[1], hidden)
+        ref_fw, cache_fw = reference_lstm_forward(xs[rows], params, "lstm_fw", hidden)
+        ref_bw, cache_bw = reference_lstm_forward(xs[rows][::-1], params, "lstm_bw", hidden)
         assert_close(hs[rows], np.concatenate([ref_fw, ref_bw[::-1]], axis=1))
-        ref_d_xs = reference_lstm_backward(d_hs[rows, :hidden], cache_fw, blocks[0], hidden, "lstm_fw", ref_grads)
-        ref_d_xs += reference_lstm_backward(d_hs[rows, hidden:][::-1], cache_bw, blocks[1], hidden, "lstm_bw",
+        ref_d_xs = reference_lstm_backward(d_hs[rows, :hidden], cache_fw, params, hidden, "lstm_fw", ref_grads)
+        ref_d_xs += reference_lstm_backward(d_hs[rows, hidden:][::-1], cache_bw, params, hidden, "lstm_bw",
                                             ref_grads)[::-1]
         assert_close(d_xs[rows], ref_d_xs[:, frozen:])
     for name, ref in ref_grads.items():

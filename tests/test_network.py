@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from imdner import network as N
+from imdner import training
+from imdner.corpus import LabelSet, Sentence, Token
 from imdner.embeddings import CharVocab, EmbeddingTable
 from imdner.errors import NumericError, ValidationError
 
@@ -39,7 +41,7 @@ def char_features(text, vocab, params, config):
 def zero_params(config, vocab):
     rng = np.random.default_rng(0)
     params = N.init_network_params(config, len(vocab), rng)
-    for _, arr in params.param_items():
+    for arr in params.values():
         arr[...] = 0.0
     return params
 
@@ -58,15 +60,22 @@ class TestConfig:
 
 
 class TestParams:
-    def test_param_shapes_declare_every_tensor_in_param_items_order(self, vocab):
-        config = make_config()
+    def test_weights_grads_and_checkpoints_are_keyed_in_param_shapes_order(self, vocab, table, tmp_path):
+        labels = LabelSet(("Symptom",))
+        config = make_config(num_tags=labels.num_tags)
+        declared = N.param_shapes(config, len(vocab))
+        names = [name for name, _ in declared]
         params = N.init_network_params(config, len(vocab), np.random.default_rng(0))
-        assert [(name, arr.shape) for name, arr in params.param_items()] == N.param_shapes(config, len(vocab))
-
-    def test_from_items_inverts_param_items(self, vocab):
-        params = N.init_network_params(make_config(), len(vocab), np.random.default_rng(0))
-        again = N.NetworkParams.from_items(params.param_items())
-        assert [(n, id(a)) for n, a in again.param_items()] == [(n, id(a)) for n, a in params.param_items()]
+        crf = training.init_crf_params(config.num_tags, np.random.default_rng(1))
+        sent = Sentence((Token("the"), Token("fever", "B-Symptom")))
+        _, grads = training.loss_and_gradients([sent], params, crf, table, config, vocab, labels)
+        ckpt = training.make_checkpoint(params, crf, config, labels, vocab, table)
+        training.save_checkpoint(ckpt, tmp_path / "model.ckpt")
+        loaded = training.load_checkpoint(tmp_path / "model.ckpt")
+        assert [(name, arr.shape) for name, arr in params.items()] == declared
+        assert list(grads) == names + [name for name, _ in training.crf_param_shapes(config.num_tags)]
+        assert list(ckpt.network) == names
+        assert list(loaded.network) == names
 
 
 class TestCharFeatures:
@@ -90,19 +99,19 @@ class TestCharFeatures:
         config = make_config(char_filter_count=1)
         params = zero_params(config, vocab)
         rng = np.random.default_rng(2)
-        params.char_embeddings[...] = rng.normal(size=params.char_embeddings.shape)
+        params["char_embeddings"][...] = rng.normal(size=params["char_embeddings"].shape)
         trigram = [vocab.encode("eve")[i] for i in range(3)]
-        params.conv_filters[0] = params.char_embeddings[trigram]
+        params["conv_filters"][0] = params["char_embeddings"][trigram]
 
         feat = char_features("fever", vocab, params, config)
 
         # Hand convolution over the 3 windows of "fever".
-        emb = params.char_embeddings[vocab.encode("fever")]
+        emb = params["char_embeddings"][vocab.encode("fever")]
         scores = []
         for p in range(3):
             s = 0.0
             for k in range(3):
-                s += float(np.dot(params.conv_filters[0, k], emb[p + k]))
+                s += float(np.dot(params["conv_filters"][0, k], emb[p + k]))
             scores.append(np.tanh(s))
         assert feat[0] == pytest.approx(max(scores), abs=1e-12)
         assert int(np.argmax(scores)) == 1  # the "eve" window
@@ -127,7 +136,7 @@ class TestCharFeatures:
         config = make_config(char_filter_count=8)
         rng = np.random.default_rng(9)
         params = N.init_network_params(config, len(vocab), rng)
-        params.char_embeddings[...] = rng.normal(size=params.char_embeddings.shape)
+        params["char_embeddings"][...] = rng.normal(size=params["char_embeddings"].shape)
         tokens = ["a", "ab", "abcdefghijklmnopqrst", "a"]
         feats, _ = N.char_features_forward(tokens, vocab, params, config)
         assert feats.shape == (4, 8)
@@ -140,11 +149,11 @@ class TestEmissions:
     def test_zero_network_outputs_proj_bias(self, vocab, table):
         config = make_config()
         params = zero_params(config, vocab)
-        params.proj_bias[...] = np.arange(config.num_tags, dtype=float)
+        params["proj_bias"][...] = np.arange(config.num_tags, dtype=float)
         emis = emissions(["fever", "rash", "the"], table, params, config, vocab)
         assert emis.shape == (3, config.num_tags)
         for row in emis:
-            assert np.allclose(row, params.proj_bias)
+            assert np.allclose(row, params["proj_bias"])
 
     def test_deterministic_without_dropout(self, vocab, table):
         config = make_config()
@@ -163,14 +172,14 @@ class TestEmissions:
         wx = np.array([[0.5, 0.0], [-0.3, 0.0], [0.8, 0.0], [0.2, 0.0]])
         wh = np.array([[0.1], [0.4], [-0.2], [0.6]])
         b = np.array([0.05, -0.1, 0.2, 0.3])
-        params.lstm_fw.wx[...] = wx
-        params.lstm_fw.wh[...] = wh
-        params.lstm_fw.b[...] = b
-        params.lstm_bw.wx[...] = 2 * wx
-        params.lstm_bw.wh[...] = -wh
-        params.lstm_bw.b[...] = b / 2
-        params.proj_weights[...] = np.array([[1.0, -1.0], [0.5, 2.0]])
-        params.proj_bias[...] = np.array([0.1, -0.2])
+        params["lstm_fw.wx"][...] = wx
+        params["lstm_fw.wh"][...] = wh
+        params["lstm_fw.b"][...] = b
+        params["lstm_bw.wx"][...] = 2 * wx
+        params["lstm_bw.wh"][...] = -wh
+        params["lstm_bw.b"][...] = b / 2
+        params["proj_weights"][...] = np.array([[1.0, -1.0], [0.5, 2.0]])
+        params["proj_bias"][...] = np.array([0.1, -0.2])
 
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
@@ -216,7 +225,7 @@ class TestEmissions:
     def test_finite_for_bounded_parameters(self, vocab, table):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(7))
-        for _, arr in params.param_items():
+        for arr in params.values():
             arr[...] = np.clip(arr * 100, -5, 5)
         emis = emissions(["fever", "rash"] * 20, table, params, config, vocab)
         assert np.all(np.isfinite(emis))
@@ -232,7 +241,7 @@ class TestEmissions:
     def test_non_finite_parameters_name_the_stage(self, vocab, table):
         config = make_config()
         params = zero_params(config, vocab)
-        params.proj_bias[0] = np.inf
+        params["proj_bias"][0] = np.inf
         with pytest.raises(NumericError, match="projection"):
             emissions(["fever"], table, params, config, vocab)
 

@@ -63,7 +63,7 @@ class TestTrainConfig:
         assert cfg.epochs == 16
         assert cfg.learning_rate == 0.001
         assert cfg.dropout_rate == 0.5
-        assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon) == (0.9, 0.999, 1e-8)
+        assert (T.ADAM_BETA1, T.ADAM_BETA2, T.ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -463,15 +463,15 @@ class TestPredict:
         ]
 
     def test_predictions_are_bio_valid(self, trained, toy_corpus):
-        labels, result = trained
+        _, result = trained
         from imdner.corpus import validate_bio
 
         for doc in T.predict_documents(result.checkpoint, toy_corpus):
             for sent in doc.sentences:
-                validate_bio(sent.tags, labels)
+                validate_bio(sent.tags)
 
     def test_long_sentence_is_split_with_warning(self, trained):
-        labels, result = trained
+        _, result = trained
         from imdner.corpus import validate_bio
 
         doc = Document("long", (Sentence(tuple(Token("fever") for _ in range(600))),))
@@ -479,7 +479,7 @@ class TestPredict:
             (pred,) = T.predict_documents(result.checkpoint, [doc])
         (sent,) = pred.sentences
         assert sent.texts == ["fever"] * 600
-        validate_bio(sent.tags, labels)
+        validate_bio(sent.tags)
 
     def test_one_network_forward_for_a_three_sentence_document(self, trained, toy_corpus, monkeypatch):
         _, result = trained

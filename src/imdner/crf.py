@@ -1,8 +1,9 @@
-"""Linear-chain CRF: forward log-partition, Viterbi, marginals, gradients.
+"""Linear-chain CRF: NLL and its gradients from one forward-backward, Viterbi, BIO mask.
 
-All arithmetic is log-space float64. Ties in Viterbi are broken toward the
-lowest tag index at every backtracking step, so decoding is deterministic
-and directly comparable with exhaustive enumeration.
+The forward-backward is log-space float64. Viterbi runs in the dtype of its
+inputs, float32 when decoding from a checkpoint. Ties in Viterbi are broken
+toward the lowest tag index at every backtracking step, so decoding is
+deterministic and directly comparable with exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -55,66 +56,24 @@ def _logsumexp(a, axis=None):
     return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
-def _forward_alphas(emissions, crf):
-    T = emissions.shape[0]
-    alpha = np.empty_like(emissions)
-    alpha[0] = crf.start_scores + emissions[0]
-    for t in range(1, T):
-        alpha[t] = emissions[t] + _logsumexp(alpha[t - 1][:, None] + crf.transitions, axis=0)
-    return alpha
-
-
-def _backward_betas(emissions, crf):
-    T = emissions.shape[0]
-    beta = np.empty_like(emissions)
-    beta[T - 1] = crf.end_scores
-    for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(crf.transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
-
-
-def _forward_backward(emissions, crf):
-    """(alpha, beta, log Z), shared by marginals and nll_gradients."""
-    alpha = _forward_alphas(emissions, crf)
-    beta = _backward_betas(emissions, crf)
-    return alpha, beta, _logsumexp(alpha[-1] + crf.end_scores)
-
-
-def log_partition(emissions: np.ndarray, crf: CrfParams) -> float:
-    """log sum over all tag sequences of exp(path score)."""
-    check_finite(emissions, "emissions")
-    check_finite(crf.transitions, "transitions")
-    alpha = _forward_alphas(emissions, crf)
-    return float(_logsumexp(alpha[-1] + crf.end_scores))
-
-
-def nll(emissions: np.ndarray, crf: CrfParams, gold_tags) -> float:
-    """Negative log-likelihood of the gold path; always >= 0."""
-    gold_tags = list(gold_tags)
-    if len(gold_tags) != emissions.shape[0]:
-        raise ValidationError("gold tag sequence length does not match emissions")
-    if any(y < 0 or y >= crf.num_tags for y in gold_tags):
-        raise ValidationError("gold tag index out of range")
-    return log_partition(emissions, crf) - path_score(emissions, crf, gold_tags)
-
-
-def marginals(emissions: np.ndarray, crf: CrfParams) -> np.ndarray:
-    """Per-position tag probabilities via forward-backward; rows sum to 1."""
-    alpha, beta, log_z = _forward_backward(emissions, crf)
-    m = np.exp(alpha + beta - log_z)
-    # Normalize away residual rounding so rows sum to 1 tightly.
-    return m / m.sum(axis=1, keepdims=True)
-
-
 def nll_gradients(emissions: np.ndarray, crf: CrfParams, gold_tags):
     """nll value plus its analytic gradients w.r.t. emissions and CRF params.
 
+    nll = log Z - gold path score, log Z summing exp(score) over all paths
     d/d emissions = marginals - onehot(gold)
     d/d transitions = expected pairwise counts - observed counts
     """
     T = emissions.shape[0]
     gold = np.asarray(gold_tags)
-    alpha, beta, log_z = _forward_backward(emissions, crf)
+    alpha = np.empty_like(emissions)
+    alpha[0] = crf.start_scores + emissions[0]
+    for t in range(1, T):
+        alpha[t] = emissions[t] + _logsumexp(alpha[t - 1][:, None] + crf.transitions, axis=0)
+    beta = np.empty_like(emissions)
+    beta[T - 1] = crf.end_scores
+    for t in range(T - 2, -1, -1):
+        beta[t] = _logsumexp(crf.transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+    log_z = _logsumexp(alpha[-1] + crf.end_scores)
     value = float(log_z) - path_score(emissions, crf, gold)
 
     marg = np.exp(alpha + beta - log_z)
@@ -178,7 +137,7 @@ def masked(crf: CrfParams, labels: LabelSet) -> CrfParams:
     """CRF parameters with the hard BIO mask applied, for decoding only.
 
     Invalid moves score -inf, so Viterbi output is BIO-valid whatever the
-    emissions; the result is not fit for log_partition or gradients. It
+    emissions; the result is not fit for gradients. It
     keeps the dtype of crf, so a float32 CRF decodes in float32.
     """
     mask = bio_transition_mask(labels).astype(crf.transitions.dtype, copy=False)

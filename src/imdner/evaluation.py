@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import Document, LabelSet, tags_to_spans
 from .errors import AlignmentError, ValidationError
@@ -194,19 +194,7 @@ def format_report(report: EvalReport) -> str:
 def report_to_json(report: EvalReport) -> str:
     """Machine-readable counterpart of format_report."""
     doc = {
-        "per_label": [
-            {
-                "label": m.label,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "support": m.support,
-                "tp": m.tp,
-                "fp": m.fp,
-                "fn": m.fn,
-            }
-            for m in report.per_label
-        ],
+        "per_label": [asdict(m) for m in report.per_label],
         "micro": dict(zip(("precision", "recall", "f1"), report.micro)),
         "macro": dict(zip(("precision", "recall", "f1"), report.macro)),
         "weighted": dict(zip(("precision", "recall", "f1"), report.weighted)),

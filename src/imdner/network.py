@@ -287,9 +287,9 @@ def emissions_forward(
         raise ValidationError(f"embedding dim {table.dim} does not match configured word_dim {config.word_dim}")
 
     char_feats, char_cache = char_features_forward(token_texts, vocab, params, config)
-    check_finite(char_feats, "char features")
     word_vecs = np.stack([table.lookup(t) for t in token_texts])
     xs = np.concatenate([word_vecs, char_feats], axis=1, dtype=params["lstm_fw.wx"].dtype)
+    check_finite(xs, "word vectors and char features")
     mask = None
     if dropout_seed is not None and config.dropout_rate > 0.0:
         in_dim = xs.shape[1]

@@ -257,6 +257,10 @@ def load_checkpoint(path) -> Checkpoint:
     arrays = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(specs, offsets, offsets[1:])}
     net = {name: arrays[name] for name, _ in net_shapes}
     crf = crf_mod.CrfParams(*(arrays[name] for name, _ in crf_shapes))
+    # The embedding table is left to emissions_forward, which checks the rows a text uses.
+    for name, arr in all_param_items(net, crf):
+        if not np.isfinite(arr).all():
+            raise IntegrityError(f"tensor {name!r} holds NaN or Inf values")
     table = EmbeddingTable(words, arrays["embeddings.matrix"], arrays["embeddings.unk"])
     return Checkpoint(net, crf, config, labels, vocab, table, format_version=version, metadata=_header_field(header, "metadata", dict))
 

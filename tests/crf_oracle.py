@@ -1,18 +1,19 @@
-"""Exhaustive-enumeration oracle for the linear-chain CRF in imdner.crf."""
+"""Exhaustive-enumeration oracle for the linear-chain CRF in imdner.crf, and
+the log Z and marginals that imdner.crf.nll_gradients implies."""
 
 import itertools
 
 import numpy as np
 from scipy.special import logsumexp
 
-from imdner.crf import CrfParams, PathScore
+from imdner.crf import CrfParams, PathScore, nll_gradients, path_score
 from imdner.errors import ValidationError
 
 
 def brute_force_oracle(emissions: np.ndarray, crf: CrfParams):
     """Exhaustive enumeration over all num_tags**T paths.
 
-    Returns (log_partition, PathScore, marginals) under the same tie rule as
+    Returns (log Z, PathScore, marginals) under the same tie rule as
     viterbi: among max-score paths, the one minimal in reversed-sequence
     lexicographic order (which is what lowest-index backtracking yields).
     """
@@ -44,3 +45,15 @@ def brute_force_oracle(emissions: np.ndarray, crf: CrfParams):
     for t in range(T):
         np.add.at(marg[t], paths[:, t], weights)
     return log_z, best, marg
+
+
+def log_z_and_marginals(emissions: np.ndarray, crf: CrfParams):
+    """(log Z, marginals) recovered from nll_gradients on the all-zero gold path.
+
+    nll = log Z - path score and d nll / d emissions = marginals - onehot(gold),
+    whatever the gold path.
+    """
+    gold = np.zeros(emissions.shape[0], dtype=int)
+    value, d_emis, *_ = nll_gradients(emissions, crf, gold)
+    d_emis[:, 0] += 1.0
+    return value + path_score(emissions, crf, gold), d_emis

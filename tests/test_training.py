@@ -201,7 +201,8 @@ class TestTrain:
 
     def test_non_finite_forward_names_epoch_and_batch(self, toy_corpus, labels):
         table = EmbeddingTable(("fever",), np.full((1, 8), np.nan))
-        with pytest.raises(NumericError, match=r"^epoch 1, batch \d+: non-finite values in forward LSTM"):
+        with pytest.raises(NumericError,
+                           match=r"^epoch 1, batch \d+: non-finite values in word vectors and char features"):
             T.train(toy_corpus, [], table, small_net_config(labels), T.TrainConfig(epochs=1, seed=3), labels)
 
     def test_every_checkpoint_of_a_run_is_the_training_table(self, toy_corpus, toy_table, labels, monkeypatch):

@@ -88,23 +88,37 @@ def _split_tag(tag):
     raise TaggingError(f"malformed tag {tag!r}")
 
 
-def _check_tag(tag, labels: LabelSet):
-    prefix, label = _split_tag(tag)
-    if label is not None and label not in labels:
-        raise SchemaError(f"unknown label {label!r} in tag {tag!r}")
-    return prefix, label
+def _bio_walk(tags):
+    """One pass over a tag sequence: the (start, end, label) of each span, and
+    the index of the first tag that breaks BIO (None if there is none). An I-
+    that continues nothing opens no span and closes the open one."""
+    spans, bad = [], None
+    start, label, inside = None, None, None  # inside: the tag that continues the open span
+    for i, tag in enumerate(tags):
+        if tag == inside:
+            continue
+        if start is not None:
+            spans.append((start, i, label))
+            start, inside = None, None
+        if tag == "O":
+            continue
+        prefix, lab = _split_tag(tag)
+        if prefix == "B":
+            start, label, inside = i, lab, "I-" + lab
+        elif bad is None:
+            bad = i
+    if start is not None:
+        spans.append((start, len(tags), label))
+    return tuple(spans), bad
 
 
 def validate_bio(tags):
-    """Raise TaggingError if the tag sequence is not BIO-valid."""
-    prev_prefix, prev_label = "O", None
-    for i, tag in enumerate(tags):
-        prefix, label = _split_tag(tag)
-        if prefix == "I":
-            if prev_prefix == "O" or prev_label != label:
-                prev = "O" if prev_prefix == "O" else f"{prev_prefix}-{prev_label}"
-                raise TaggingError(f"{tag} follows {prev} at token {i}")
-        prev_prefix, prev_label = prefix, label
+    """Raise TaggingError if the tag sequence is not BIO-valid; otherwise
+    return its spans as (start, end, label) tuples."""
+    spans, bad = _bio_walk(tags)
+    if bad is not None:
+        raise TaggingError(f"{tags[bad]} follows {tags[bad - 1] if bad else 'O'} at token {bad}")
+    return spans
 
 
 @dataclass(frozen=True)
@@ -120,13 +134,16 @@ class Token:
 
 @dataclass(frozen=True)
 class Sentence:
+    """A BIO-valid token sequence. Its (start, end, label) spans are decoded once,
+    into `span_bounds`, which is not a field: eq, hash and repr see the tokens."""
+
     tokens: tuple[Token, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise ValidationError("sentence must contain at least one token")
-        validate_bio([t.tag for t in self.tokens])
+        object.__setattr__(self, "span_bounds", validate_bio(self.tags))
 
     def __len__(self):
         return len(self.tokens)
@@ -174,21 +191,11 @@ class CorpusStats:
 
 
 def tags_to_spans(sentence: Sentence | list[str], sentence_index: int = 0) -> list[EntitySpan]:
-    """Decode a BIO-valid tag sequence into sorted, non-overlapping spans."""
-    tags = sentence.tags if isinstance(sentence, Sentence) else list(sentence)
-    spans = []
-    open_start, open_label, inside = None, None, None  # inside: the tag that continues the open span
-    for i, tag in enumerate(tags):
-        if tag == inside:
-            continue
-        if open_start is not None:
-            spans.append(EntitySpan(sentence_index, open_start, i, open_label))
-            open_start, inside = None, None
-        if tag != "O" and _split_tag(tag)[0] == "B":
-            open_start, open_label, inside = i, tag[2:], "I-" + tag[2:]
-    if open_start is not None:
-        spans.append(EntitySpan(sentence_index, open_start, len(tags), open_label))
-    return spans
+    """Decode BIO tags into sorted, non-overlapping spans: a Sentence's own
+    `span_bounds`, or a walk over a tag list. A list need not be BIO-valid:
+    an I- that continues nothing opens no span and closes the open one."""
+    bounds = sentence.span_bounds if isinstance(sentence, Sentence) else _bio_walk(list(sentence))[0]
+    return [EntitySpan(sentence_index, start, end, label) for start, end, label in bounds]
 
 
 def spans_to_tags(length: int, spans: list[EntitySpan]) -> list[str]:
@@ -259,7 +266,9 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
         if len(fields) != 2:
             raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}: {line!r}", line=line_no)
         text, tag = fields
-        _check_tag(tag, labels)
+        if tag not in labels._tag_ids:  # so it is malformed or has an unknown label
+            _split_tag(tag)  # raises on a malformed tag
+            raise SchemaError(f"unknown label {tag[2:]!r} in tag {tag!r}")
         try:
             cur_tokens.append(Token(text, tag))
         except ValidationError as e:
@@ -310,8 +319,8 @@ def corpus_stats(docs: list[Document]) -> CorpusStats:
         for sent in doc.sentences:
             sentence_count += 1
             token_count += len(sent)
-            for span in tags_to_spans(sent):
-                entity_counts[span.label] = entity_counts.get(span.label, 0) + 1
+            for _, _, label in sent.span_bounds:
+                entity_counts[label] = entity_counts.get(label, 0) + 1
     return CorpusStats(len(docs), sentence_count, token_count, entity_counts)
 
 

@@ -3,6 +3,10 @@
 A predicted span is correct only when a gold span with the same label and
 the same half-open token range exists in the same sentence; matching is
 one-to-one. Zero denominators yield 0, not an error.
+
+`evaluate`, `error_breakdown` and `iaa` each make one `_walk` over the two
+corpora, which reads the spans each Sentence decoded when it was built.
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .corpus import Document, LabelSet, tags_to_spans
+from .corpus import Document, LabelSet
 from .errors import AlignmentError, ValidationError
 
 
@@ -59,31 +63,33 @@ class AgreementReport:
     token_count: int
 
 
-def _check_alignment(gold: list[Document], pred: list[Document]):
+def _walk(gold: list[Document], pred: list[Document]):
+    """Raise AlignmentError at the first document, sentence or token where the
+    corpora differ; else return the span keys (doc, sentence, start, end, label)
+    of each side, the token count and the count of agreeing tags. Flat annotation
+    makes each key unique, so one-to-one matching is set intersection."""
     if len(gold) != len(pred):
         raise AlignmentError(f"corpora have {len(gold)} vs {len(pred)} documents")
+    gold_spans, pred_spans = set(), set()
+    tokens = agree = 0
     for d, (g, p) in enumerate(zip(gold, pred)):
         if len(g.sentences) != len(p.sentences):
             raise AlignmentError(f"document {d} ({g.id}): {len(g.sentences)} vs {len(p.sentences)} sentences")
         for s, (gs, ps) in enumerate(zip(g.sentences, p.sentences)):
             if len(gs) != len(ps):
                 raise AlignmentError(f"document {d}, sentence {s}: {len(gs)} vs {len(ps)} tokens")
-            for t, (gt, pt) in enumerate(zip(gs.tokens, ps.tokens)):
+            for gt, pt in zip(gs.tokens, ps.tokens):
                 if gt.text != pt.text:
+                    t = next(t for t, (a, b) in enumerate(zip(gs.texts, ps.texts)) if a != b)
                     raise AlignmentError(
                         f"token mismatch at document {d}, sentence {s}, token {t}: {gt.text!r} vs {pt.text!r}"
                     )
-
-
-def _span_sets(docs: list[Document]):
-    """All spans keyed (doc, sentence, start, end, label); flat annotation
-    makes each key unique, so one-to-one matching is set intersection."""
-    out = set()
-    for d, doc in enumerate(docs):
-        for s, sent in enumerate(doc.sentences):
-            for span in tags_to_spans(sent, sentence_index=s):
-                out.add((d, s, span.start, span.end, span.label))
-    return out
+                if gt.tag == pt.tag:
+                    agree += 1
+            tokens += len(gs)
+            gold_spans.update([(d, s, start, end, label) for start, end, label in gs.span_bounds])
+            pred_spans.update([(d, s, start, end, label) for start, end, label in ps.span_bounds])
+    return gold_spans, pred_spans, tokens, agree
 
 
 def aggregate(per_label: list[LabelMetrics]):
@@ -119,11 +125,8 @@ def aggregate(per_label: list[LabelMetrics]):
     return micro, macro, weighted
 
 
-def evaluate(gold: list[Document], pred: list[Document], labels: LabelSet | None = None) -> EvalReport:
+def _report(gold_spans: set, pred_spans: set, labels: LabelSet | None) -> EvalReport:
     labels = labels or LabelSet()
-    _check_alignment(gold, pred)
-    gold_spans = _span_sets(gold)
-    pred_spans = _span_sets(pred)
     matched = gold_spans & pred_spans
     tp, fp, fn = (Counter(s[4] for s in spans) for spans in (matched, pred_spans - matched, gold_spans - matched))
     per_label = [LabelMetrics.from_counts(lab, tp[lab], fp[lab], fn[lab]) for lab in labels.labels]
@@ -138,12 +141,16 @@ def evaluate(gold: list[Document], pred: list[Document], labels: LabelSet | None
     )
 
 
+def evaluate(gold: list[Document], pred: list[Document], labels: LabelSet | None = None) -> EvalReport:
+    gold_spans, pred_spans, _, _ = _walk(gold, pred)
+    return _report(gold_spans, pred_spans, labels)
+
+
 def error_breakdown(gold: list[Document], pred: list[Document]) -> ErrorBreakdown:
     """Classify each predicted span exactly once, in priority order:
     exact match > label error > boundary error > spurious. A boundary error
     matches the first overlapping gold span of its label in sorted order."""
-    _check_alignment(gold, pred)
-    gold_spans = _span_sets(gold)
+    gold_spans, pred_spans, _, _ = _walk(gold, pred)
     by_range = {g[:4]: g for g in gold_spans}
     by_label: dict[tuple, list] = {}
     for g in sorted(gold_spans):
@@ -151,7 +158,7 @@ def error_breakdown(gold: list[Document], pred: list[Document]) -> ErrorBreakdow
 
     correct = label_error = boundary_error = spurious = 0
     matched_gold = set()
-    for span in _span_sets(pred):
+    for span in pred_spans:
         d, s, start, end, lab = span
         if span in gold_spans:
             correct += 1
@@ -173,11 +180,10 @@ def error_breakdown(gold: list[Document], pred: list[Document]) -> ErrorBreakdow
 
 def iaa(annotation_a: list[Document], annotation_b: list[Document], labels: LabelSet | None = None) -> AgreementReport:
     """Token-level percentage agreement plus entity F1 with A as gold."""
-    report = evaluate(annotation_a, annotation_b, labels)  # checks the alignment
-    tags_a = [tok.tag for doc in annotation_a for sent in doc.sentences for tok in sent.tokens]
-    tags_b = [tok.tag for doc in annotation_b for sent in doc.sentences for tok in sent.tokens]
-    pct = 100.0 * sum(a == b for a, b in zip(tags_a, tags_b)) / len(tags_a) if tags_a else 0.0
-    return AgreementReport(token_agreement_pct=pct, entity_f1_a_as_gold=report.micro[2], token_count=len(tags_a))
+    spans_a, spans_b, tokens, agree = _walk(annotation_a, annotation_b)
+    pct = 100.0 * agree / tokens if tokens else 0.0
+    f1 = _report(spans_a, spans_b, labels).micro[2]
+    return AgreementReport(token_agreement_pct=pct, entity_f1_a_as_gold=f1, token_count=tokens)
 
 
 def format_report(report: EvalReport) -> str:

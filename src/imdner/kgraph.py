@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .corpus import Document, LabelSet, tags_to_spans
+from .corpus import Document, LabelSet
 from .errors import ConfigError, ValidationError
 
 
@@ -62,9 +62,9 @@ def _mentions(doc: Document) -> dict[str, dict[int, set[str]]]:
     by_label: dict[str, dict[int, set[str]]] = {}
     for s, sent in enumerate(doc.sentences):
         texts = sent.texts
-        for span in tags_to_spans(sent, sentence_index=s):
-            surface = " ".join(texts[span.start: span.end]).lower()
-            by_label.setdefault(span.label, {}).setdefault(s, set()).add(surface)
+        for start, end, label in sent.span_bounds:
+            surface = " ".join(texts[start:end]).lower()
+            by_label.setdefault(label, {}).setdefault(s, set()).add(surface)
     return by_label
 
 

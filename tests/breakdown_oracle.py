@@ -1,19 +1,22 @@
 """The quadratic reference for `evaluation.error_breakdown`: for every
 predicted span it scans all gold spans, and sorts them for the overlap rule.
-Tests check the indexed implementation against it on random corpora."""
+Tests check the indexed implementation against it on random corpora. The
+alignment check and the span decode are the ones of `scoring_oracle`."""
 
 from __future__ import annotations
 
 from imdner.corpus import Document
-from imdner.evaluation import ErrorBreakdown, _check_alignment, _span_sets
+from imdner.evaluation import ErrorBreakdown
+
+from scoring_oracle import check_alignment, span_sets
 
 
 def quadratic_error_breakdown(gold: list[Document], pred: list[Document]) -> ErrorBreakdown:
     """Classify each predicted span exactly once, in priority order:
     exact match > label error > boundary error > spurious."""
-    _check_alignment(gold, pred)
-    gold_spans = _span_sets(gold)
-    pred_spans = _span_sets(pred)
+    check_alignment(gold, pred)
+    gold_spans = span_sets(gold)
+    pred_spans = span_sets(pred)
 
     correct = label_error = boundary_error = spurious = 0
     matched_gold = set()

@@ -332,6 +332,33 @@ def test_any_corpus_bytes_give_a_result_or_one_error_line(data, argv, tmp_path):
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+_GOOD_CORPUS = b"SLE\tB-Immune_Mediated_Disease\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_CORPUS_BYTES, fuzzed=st.sampled_from(["--a", "--b"]))
+@example(data=b"\xef\xbb\xbfSLE\tO\r\n", fuzzed="--a")
+@example(data=b"SLE\tB-Symptom\n\n-DOCSTART-\n", fuzzed="--b")
+@example(data=b"SLE\tI-Symptom\n", fuzzed="--b")
+@example(data=b"C:\\\tO\n", fuzzed="--a")
+def test_iaa_with_any_bytes_on_one_side_gives_a_result_or_one_error_line(data, fuzzed, tmp_path):
+    files = {"--a": tmp_path / "a.conll", "--b": tmp_path / "b.conll"}
+    for flag, path in files.items():
+        path.write_bytes(data if flag == fuzzed else _GOOD_CORPUS)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["iaa", "--a", str(files["--a"]), "--b", str(files["--b"])])
+    out, err = out.getvalue(), err.getvalue()
+    if rc == 0:
+        assert err == ""
+        assert [line.split("\t")[0] for line in out.splitlines()] == [
+            "token_agreement_pct", "entity_f1_a_as_gold", "token_count"
+        ]
+    else:
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 def test_import_loads_no_scipy():
     src = Path(imdner.__file__).resolve().parent.parent
     code = "import imdner, imdner.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +18,23 @@ from imdner.corpus import (
     split_corpus,
     tags_to_spans,
     tokenize_raw,
+    validate_bio,
 )
 from imdner.errors import ParseError, SchemaError, TaggingError, ValidationError
+
+_TAG_LISTS = st.lists(st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B"]), max_size=30)
+
+
+def per_tag_validate_bio(tags):
+    """The BIO check as one test per tag against the tag before it."""
+    prev_prefix, prev_label = "O", None
+    for i, tag in enumerate(tags):
+        prefix, label = (tag, None) if tag == "O" else tag.split("-", 1)
+        if prefix == "I":
+            if prev_prefix == "O" or prev_label != label:
+                prev = "O" if prev_prefix == "O" else f"{prev_prefix}-{prev_label}"
+                raise TaggingError(f"{tag} follows {prev} at token {i}")
+        prev_prefix, prev_label = prefix, label
 
 
 class TestLabelSet:
@@ -94,6 +112,17 @@ class TestParseConll:
         with pytest.raises(SchemaError, match="Made_Up"):
             parse_conll("a\tB-Made_Up\n")
 
+    @pytest.mark.parametrize("tag, error, message", [
+        ("X-Symptom", TaggingError, "malformed tag 'X-Symptom'"),
+        ("B-", SchemaError, "unknown label '' in tag 'B-'"),
+        ("I-Nope", SchemaError, "unknown label 'Nope' in tag 'I-Nope'"),
+        ("o", TaggingError, "malformed tag 'o'"),
+    ])
+    def test_a_tag_outside_the_vocabulary_is_named(self, tag, error, message):
+        with pytest.raises(error) as e:
+            parse_conll(f"a\tO\nb\t{tag}\n")
+        assert str(e.value) == message
+
     def test_i_after_o_rejected(self):
         with pytest.raises(TaggingError):
             parse_conll("a\tO\nb\tI-Symptom\n")
@@ -154,7 +183,7 @@ class TestSpanCodec:
         with pytest.raises(ValidationError):
             spans_to_tags(2, [EntitySpan(0, 1, 3, "Symptom")])
 
-    @given(st.lists(st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B"]), max_size=30))
+    @given(_TAG_LISTS)
     @settings(max_examples=300, deadline=None)
     def test_decoder_matches_per_tag_reference_on_any_tags(self, tags):
         """Also on BIO-invalid input, where an I- that continues nothing opens
@@ -170,6 +199,23 @@ class TestSpanCodec:
         if open_start is not None:
             expected.append(EntitySpan(3, open_start, len(tags), open_label))
         assert tags_to_spans(tags, sentence_index=3) == expected
+
+    @given(_TAG_LISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_walker_validates_as_the_per_tag_check_does(self, tags):
+        """validate_bio raises exactly where the per-tag check raises, with its
+        message; on a valid list a Sentence's stored spans are the list's."""
+        try:
+            per_tag_validate_bio(tags)
+        except TaggingError as expected:
+            with pytest.raises(TaggingError) as e:
+                validate_bio(tags)
+            assert str(e.value) == str(expected)
+            return
+        validate_bio(tags)
+        if tags:
+            sentence = Sentence(tuple(Token(f"w{i}", tag) for i, tag in enumerate(tags)))
+            assert tags_to_spans(sentence, sentence_index=2) == tags_to_spans(tags, sentence_index=2)
 
     def test_decoder_rejects_a_malformed_tag(self):
         with pytest.raises(TaggingError):
@@ -302,6 +348,16 @@ class TestTypes:
             Sentence((Token("a", "I-Symptom"),))
         with pytest.raises(ValidationError):
             Sentence(())
+
+    def test_stored_spans_are_read_only_and_not_a_field(self):
+        sent = Sentence((Token("a", "B-A"), Token("b", "I-A"), Token("c", "B-B")))
+        assert sent.span_bounds == ((0, 2, "A"), (2, 3, "B"))
+        assert [f.name for f in dataclasses.fields(sent)] == ["tokens"]
+        assert repr(sent) == f"Sentence(tokens={sent.tokens!r})"
+        assert sent == Sentence(sent.tokens) and hash(sent) == hash(Sentence(sent.tokens))
+        assert pickle.loads(pickle.dumps(sent)).span_bounds == sent.span_bounds
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sent.span_bounds = ()
 
     def test_span_bounds(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imdner.corpus import Document, LabelSet, Sentence, Token, spans_to_tags, EntitySpan
 from imdner.errors import AlignmentError
@@ -13,6 +15,7 @@ from imdner.evaluation import (
     report_to_json,
 )
 
+import scoring_oracle
 from breakdown_oracle import quadratic_error_breakdown
 
 LABELS = LabelSet(("Symptom", "Treatment", "Biomarker"))
@@ -155,6 +158,80 @@ def _random_pair(rng, max_sentences=10):
             sentences.append(Sentence(tuple(Token(t.text, tag) for t, tag in zip(sent.tokens, tags))))
         pred.append(Document(doc.id, tuple(sentences)))
     return gold, pred
+
+
+def _bio(raw):
+    """A BIO-valid tag list from any list of O/B-/I- tags: an I- that
+    continues nothing becomes a B-."""
+    tags = []
+    for tag in raw:
+        if tag.startswith("I-") and (not tags or tags[-1][2:] != tag[2:]):
+            tag = "B-" + tag[2:]
+        tags.append(tag)
+    return tags
+
+
+_TAG = st.sampled_from(["O", *(f"{p}-{lab}" for lab in LABELS.labels for p in "BI")])
+
+
+@st.composite
+def _aligned_pairs(draw):
+    """Gold and predicted documents over the same tokens, tags drawn apart."""
+    gold, pred = [], []
+    for d in range(draw(st.integers(1, 3))):
+        lengths = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4))
+        gold.append(doc_from_tags([_bio(draw(st.lists(_TAG, min_size=n, max_size=n))) for n in lengths], f"d{d}"))
+        pred.append(doc_from_tags([_bio(draw(st.lists(_TAG, min_size=n, max_size=n))) for n in lengths], f"d{d}"))
+    return gold, pred
+
+
+@given(_aligned_pairs())
+@settings(max_examples=300, deadline=None)
+def test_one_walk_matches_the_oracles(pair):
+    gold, pred = pair
+    assert evaluate(gold, pred, LABELS) == scoring_oracle.evaluate(gold, pred, LABELS)
+    assert iaa(gold, pred, LABELS) == scoring_oracle.iaa(gold, pred, LABELS)
+    assert error_breakdown(gold, pred) == quadratic_error_breakdown(gold, pred)
+
+
+def _one_sentence(*texts):
+    return Sentence(tuple(Token(t) for t in texts))
+
+
+# Each way two corpora can differ, with the message the alignment check gives.
+_MISALIGNED = {
+    "documents": (
+        [Document("a", (_one_sentence("x"),)), Document("b", (_one_sentence("y"),))],
+        [Document("a", (_one_sentence("x"),))],
+        "corpora have 2 vs 1 documents",
+    ),
+    "sentences": (
+        [Document("a", (_one_sentence("x"),)), Document("b", (_one_sentence("y"), _one_sentence("z")))],
+        [Document("a", (_one_sentence("x"),)), Document("b", (_one_sentence("y"),))],
+        "document 1 (b): 2 vs 1 sentences",
+    ),
+    "tokens": (
+        [Document("a", (_one_sentence("x"), _one_sentence("y", "z")))],
+        [Document("a", (_one_sentence("x"), _one_sentence("y", "z", "w")))],
+        "document 0, sentence 1: 2 vs 3 tokens",
+    ),
+    "token text": (
+        [Document("a", (_one_sentence("x"),)), Document("b", (_one_sentence("y"), _one_sentence("p", "q", "r")))],
+        [Document("a", (_one_sentence("x"),)), Document("b", (_one_sentence("y"), _one_sentence("p", "'q'", "s")))],
+        "token mismatch at document 1, sentence 1, token 1: 'q' vs \"'q'\"",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MISALIGNED)
+@pytest.mark.parametrize(
+    "score", [evaluate, iaa, error_breakdown, scoring_oracle.evaluate], ids=lambda f: f"{f.__module__}.{f.__name__}"
+)
+def test_misaligned_corpora_name_the_first_difference(score, case):
+    gold, pred, message = _MISALIGNED[case]
+    with pytest.raises(AlignmentError) as e:
+        score(gold, pred)
+    assert str(e.value) == message
 
 
 class TestAggregate:

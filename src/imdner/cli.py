@@ -226,11 +226,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ImdnerError as e:
+    except (ImdnerError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except MemoryError as e:  # numpy's says how much it could not allocate
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 1
 
 

@@ -127,9 +127,23 @@ class Token:
     tag: str = "O"
 
     def __post_init__(self):
-        if self.text.split() != [self.text]:  # also rejects the empty string
-            raise ValidationError(f"token text must be non-empty and whitespace-free: {self.text!r}")
+        _check_text(self.text)
         _split_tag(self.tag)
+
+
+def _check_text(text):
+    if text.split() != [text]:  # also rejects the empty string
+        raise ValidationError(f"token text must be non-empty and whitespace-free: {text!r}")
+
+
+def _parsed_token(text: str, tag: str) -> Token:
+    """A Token whose tag was just found in a label set's tag index, so it is
+    well formed: only the text is checked, and the tag is not split again."""
+    _check_text(text)
+    token = object.__new__(Token)
+    object.__setattr__(token, "text", text)
+    object.__setattr__(token, "tag", tag)
+    return token
 
 
 @dataclass(frozen=True)
@@ -270,7 +284,7 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
             _split_tag(tag)  # raises on a malformed tag
             raise SchemaError(f"unknown label {tag[2:]!r} in tag {tag!r}")
         try:
-            cur_tokens.append(Token(text, tag))
+            cur_tokens.append(_parsed_token(text, tag))
         except ValidationError as e:
             raise ParseError(str(e), line=line_no) from e
     close_sentence(line_no)

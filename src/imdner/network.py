@@ -2,10 +2,12 @@
 
 One call runs a ragged batch: the flat tokens of B sentences and their
 lengths, with emissions returned packed as (N, num_tags) for the N tokens in
-sentence order. Arithmetic runs in the dtype of the parameters it is given:
-float64 in training, float32 from a checkpoint. Dropout applies only when a
-seed is supplied; sentence j's mask is drawn from [seed, j]. The forward pass
-caches every intermediate the manual backward pass needs.
+sentence order. Arithmetic, the dropout mask included, runs in the dtype of
+the parameters it is given: float32 in training and from a checkpoint, and
+float64 when a caller passes float64 weights, as the gradient checks do.
+Dropout applies only when a seed is supplied; sentence j's mask is drawn
+from [seed, j]. The forward pass caches every intermediate the manual
+backward pass needs.
 
 The weights are a dict of named tensors whose names, shapes and order
 param_shapes declares; the gradients, Adam and the checkpoint use the same
@@ -102,11 +104,14 @@ def _sigmoid_inplace(x):
     np.reciprocal(x, out=x)
 
 
-def dropout_mask(shape, rate: float, seed) -> np.ndarray:
-    """Inverted dropout mask: entries are 0 or 1/(1-rate), E[mask] == 1."""
+def dropout_mask(shape, rate: float, seed, dtype=np.float64) -> np.ndarray:
+    """Inverted dropout mask in dtype: entries are 0 or 1/(1-rate), E[mask] == 1.
+    The uniform draws are float64 whatever the dtype."""
     rng = np.random.default_rng(seed)
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(float) / keep
+    mask = (rng.random(shape) < keep).astype(dtype)
+    mask *= 1.0 / keep
+    return mask
 
 
 def _char_windows(token_texts: list[str], vocab: CharVocab, width: int):
@@ -293,7 +298,7 @@ def emissions_forward(
     mask = None
     if dropout_seed is not None and config.dropout_rate > 0.0:
         in_dim = xs.shape[1]
-        mask = np.concatenate([dropout_mask((n, in_dim), config.dropout_rate, [dropout_seed, j])
+        mask = np.concatenate([dropout_mask((n, in_dim), config.dropout_rate, [dropout_seed, j], xs.dtype)
                                for j, n in enumerate(lengths)])
         xs *= mask
 

@@ -1,17 +1,22 @@
 """Supervised training: analytic gradients, Adam, checkpoints, prediction.
 
 The whole trajectory (init, shuffles, dropout masks) flows from one seed, so
-a repeated run produces a bitwise-identical checkpoint. Training runs in
-float64; a checkpoint holds float32 copies of the network and CRF tensors and
-the frozen float32 embedding table, so the on-disk float32 container is
-lossless and a checkpoint decodes in float32 whether it was just made or
-loaded from disk. Training, dev scoring and every checkpoint of a run use one
-and the same table.
+a repeated run produces a bitwise-identical checkpoint. The network trains in
+float32: its weights are drawn in float64 and cast once, so its gradients
+and Adam moments are float32 too. The CRF's few parameters stay float64, and
+crf.nll_gradients runs its forward-backward in float64 (Micikevicius et al.,
+arXiv:1710.03740: the heavy GEMMs in low precision, the precision-sensitive
+reductions in high). A checkpoint holds float32 copies of the network and
+CRF tensors and the frozen float32 embedding table, so the on-disk float32
+container is lossless and a checkpoint decodes in float32 whether it was just
+made or loaded from disk. Training, dev scoring and every checkpoint of a run
+use one and the same table.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -30,6 +35,7 @@ GRAD_CLIP_NORM = 5.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+NETWORK_DTYPE = np.float32  # the network's training dtype; the CRF's is float64
 
 
 @dataclass(frozen=True)
@@ -53,28 +59,35 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators mirroring every parameter tensor."""
+    """First/second moment accumulators mirroring every parameter tensor, and
+    one scratch buffer per tensor, so that a step allocates nothing."""
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.first_moment = {k: np.zeros_like(v) for k, v in params.items()}
         self.second_moment = {k: np.zeros_like(v) for k, v in params.items()}
+        self.scratch = {k: np.empty_like(v) for k, v in params.items()}
         self.step_count = 0
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], cfg: TrainConfig):
+        """One Adam step in place: p -= m / (sqrt(v / c2) + eps) * (lr / c1),
+        with the bias corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t."""
         self.step_count += 1
         t = self.step_count
-        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        step = cfg.learning_rate / c1
         for k, p in params.items():
-            g = grads[k]
-            m = self.first_moment[k]
-            v = self.second_moment[k]
+            g, m, v, s = grads[k], self.first_moment[k], self.second_moment[k], self.scratch[k]
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=s)
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.multiply(g, 1 - b2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(v, c2, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPSILON
+            np.divide(m, s, out=s)
+            p -= np.multiply(s, step, out=s)
 
 
 def crf_param_shapes(num_tags: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -155,8 +168,9 @@ class Checkpoint:
 
 
 def make_checkpoint(net_params, crf_params, config, labels, vocab, table, metadata=None) -> Checkpoint:
-    """Snapshot the parameters as float32 arrays, exactly what save_checkpoint
-    writes, so predictions from memory and from disk agree.
+    """Snapshot the parameters as float32 copies, exactly what save_checkpoint
+    writes, so predictions from memory and from disk agree. The network
+    trains in float32, so its tensors are only copied; the CRF is cast.
 
     The embedding table is frozen and already float32, so it is shared, not
     copied: one table serves training and every checkpoint of a run.
@@ -205,13 +219,16 @@ def _tensor_spec(entry) -> tuple[str, tuple[int, ...]]:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, checking each tensor's shape against its stored config.
 
-    The payload is read into one aligned float32 buffer, and every tensor,
-    the embedding table included, is a view of it.
+    The header is parsed and checked, the payload size included, before the
+    payload is read. The payload is read into one aligned float32 buffer, and
+    every tensor, the embedding table included, is a view of it.
     """
     with open(path, "rb") as f:
-        header_line = f.readline()
-        payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
-        payload = np.fromfile(f, dtype="<f4")  # a fresh, aligned buffer
+        if f.read(1) != b"{":  # so a file of another kind is not read to its first newline
+            raise IntegrityError("not a checkpoint: it does not start with a JSON header")
+        header_line = b"{" + f.readline()
+        payload_start = f.tell()
+        payload_bytes = os.fstat(f.fileno()).st_size - payload_start
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -252,6 +269,9 @@ def load_checkpoint(path) -> Checkpoint:
     expected = sum(sizes) * 4
     if payload_bytes != expected:
         raise IntegrityError(f"checkpoint payload has {payload_bytes} bytes, expected {expected}")
+    payload = np.fromfile(path, dtype="<f4", offset=payload_start)  # a fresh, aligned buffer
+    if payload.nbytes != expected:
+        raise IntegrityError(f"checkpoint payload changed size while it was read: {payload.nbytes} bytes")
 
     offsets = np.cumsum([0, *sizes])
     arrays = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(specs, offsets, offsets[1:])}
@@ -334,6 +354,21 @@ class TrainResult:
     history: list[EpochRecord]
 
 
+def _check_network_fits(net_config: net_mod.NetworkConfig, vocab_size: int):
+    """Raise ValidationError if training the network surely needs more memory
+    than the machine has, before any of it is allocated."""
+    weights = sum(math.prod(shape) for _, shape in net_mod.param_shapes(net_config, vocab_size))
+    # Five arrays per weight: the weight, its gradient, Adam's two moments and Adam's scratch.
+    need = weights * 5 * np.dtype(NETWORK_DTYPE).itemsize
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the platform does not say
+        return
+    if need > memory:
+        raise ValidationError(f"a network of {weights:,} weights needs {need / 2**30:,.1f} GiB to train, "
+                              f"more than this machine's {memory / 2**30:,.1f} GiB of memory")
+
+
 def init_crf_params(num_tags: int, rng: np.random.Generator) -> crf_mod.CrfParams:
     return crf_mod.CrfParams(*(rng.uniform(-0.1, 0.1, size=shape) for _, shape in crf_param_shapes(num_tags)))
 
@@ -357,9 +392,12 @@ def train(
         net_config = net_mod.NetworkConfig(**{**asdict(net_config), "dropout_rate": train_config.dropout_rate})
 
     vocab = build_char_vocab(train_docs)
+    _check_network_fits(net_config, len(vocab))
     ss = np.random.SeedSequence(train_config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    net_params = net_mod.init_network_params(net_config, len(vocab), init_rng)
+    # Drawn in float64 and cast once, so the draws and their order are those of a float64 run.
+    drawn = net_mod.init_network_params(net_config, len(vocab), init_rng)
+    net_params = {n: arr.astype(NETWORK_DTYPE) for n, arr in drawn.items()}
     crf_params = init_crf_params(net_config.num_tags, init_rng)
     param_dict = dict(all_param_items(net_params, crf_params))
     adam = AdamState(param_dict)

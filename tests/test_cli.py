@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import imdner
+from imdner import training
 from imdner.cli import main
 
 from checkpoint_files import DAMAGED, damage, read_checkpoint, write_checkpoint
@@ -235,6 +236,9 @@ def _bad_input_case(case, data_dir, tmp_path):
         return ["stats", "--corpus", str(bad)]
     if case == "train-negative-seed":
         return train + ["--seed", "-1"]
+    if case == "config-network-too-large-for-memory":
+        bad.write_text('{"lstm_hidden": 1000000000}')  # refused before any weight is allocated
+        return train + ["--config", str(bad)]
     if case == "split-negative-seed":
         return ["split", "--corpus", str(data_dir / "toy_corpus.conll"), "--seed", "-1",
                 "--train-out", str(tmp_path / "train.conll"), "--test-out", str(tmp_path / "test.conll")]
@@ -244,12 +248,31 @@ def _bad_input_case(case, data_dir, tmp_path):
 @pytest.mark.parametrize("case", [
     "checkpoint-header-without-tensors", "config-not-json", "config-value-of-wrong-type",
     "config-names-an-adam-constant", "corpus-not-utf8", "train-negative-seed", "split-negative-seed",
+    "config-network-too-large-for-memory",
 ])
 def test_malformed_input_is_one_error_line_and_exit_1(case, data_dir, tmp_path, capsys):
     rc = main(_bad_input_case(case, data_dir, tmp_path))
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 763. MiB for an array with shape (20000, 5000) and data type float64"),
+     "error: out of memory: Unable to allocate 763. MiB for an array with shape (20000, 5000) and data type float64"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy-message", "no-message"])
+def test_running_out_of_memory_is_one_error_line(error, line, data_dir, tmp_path, capsys, monkeypatch):
+    # A network that fits the machine's memory can still fail to allocate,
+    # e.g. under a ulimit; numpy then raises MemoryError.
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(training, "train", out_of_memory)
+    rc = main(["train", "--corpus", str(data_dir / "toy_corpus.conll"),
+               "--embeddings", str(data_dir / "test_embeddings.txt"), "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "eval"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imdner import corpus as corpus_module
 from imdner.corpus import (
     DEFAULT_LABELS,
     EntitySpan,
@@ -342,6 +343,34 @@ class TestTypes:
             except ValidationError:
                 rejected.append(chr(code))
         assert rejected == [c for c in map(chr, range(0x110000)) if c.isspace()]
+
+    @pytest.mark.parametrize("tag", ["X-Symptom", "o", "B", "b-Symptom", "", "BSymptom", "-Symptom"])
+    def test_token_built_directly_rejects_a_malformed_tag(self, tag):
+        with pytest.raises(TaggingError) as e:
+            Token("fever", tag)
+        assert str(e.value) == f"malformed tag {tag!r}"
+
+    def test_parsed_tokens_equal_tokens_built_directly(self, data_dir, toy_labels):
+        docs = parse_conll(data_dir.joinpath("toy_corpus.conll").read_bytes(), toy_labels)
+        tokens = [tok for doc in docs for sent in doc.sentences for tok in sent.tokens]
+        assert len(tokens) > 50
+        for tok in tokens:
+            direct = Token(tok.text, tok.tag)
+            assert tok == direct and hash(tok) == hash(direct) and repr(tok) == repr(direct)
+            assert pickle.loads(pickle.dumps(tok)) == direct
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                tok.tag = "O"
+        with pytest.raises(ParseError, match=r"line 2: token text must be non-empty"):
+            parse_conll("a\tO\nb\u00a0c\tO\n")
+
+    def test_parsing_splits_only_the_tags_the_bio_walk_needs(self, monkeypatch):
+        # Token's own tag check would split every tag again, although parse_conll
+        # has just found each one in the label set's tag index.
+        calls = []
+        real = corpus_module._split_tag
+        monkeypatch.setattr(corpus_module, "_split_tag", lambda tag: calls.append(tag) or real(tag))
+        parse_conll("a\tO\nb\tB-Symptom\nc\tI-Symptom\nd\tO\n\ne\tO\n")
+        assert calls == ["B-Symptom"]  # the walk splits a tag only where a span may open
 
     def test_sentence_rejects_invalid_bio(self):
         with pytest.raises(TaggingError):

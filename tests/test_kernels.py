@@ -265,3 +265,19 @@ def test_inline_logsumexp_matches_scipy(T, scale):
         # got[0] is d nll / d emissions = marginals - onehot(gold).
         for g, ref in zip(got, reference_nll_gradients(emis, params, gold)):
             np.testing.assert_allclose(g, ref, rtol=RTOL, atol=1e-300)
+
+
+def test_nll_gradients_runs_float32_emissions_in_float64():
+    # At 512 tokens a float32 forward-backward is off by up to about 1% of a
+    # marginal, so the emissions are upcast before the recursions.
+    rng = np.random.default_rng(512)
+    K = 25
+    emis = rng.normal(scale=3.0, size=(512, K)).astype(np.float32)
+    params = C.CrfParams(rng.uniform(-0.1, 0.1, (K, K)), rng.uniform(-0.1, 0.1, K), rng.uniform(-0.1, 0.1, K))
+    gold = list(rng.integers(0, K, size=len(emis)))
+    value, *got = C.nll_gradients(emis, params, gold)
+    ref_value, *ref = C.nll_gradients(emis.astype(np.float64), params, gold)
+    assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-10)
+    for g, r in zip(got, ref):
+        assert g.dtype == np.float64
+        np.testing.assert_allclose(g, r, rtol=1e-10, atol=1e-10)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,65 @@ class TestLossAndGradients:
             monkeypatch.setattr(N, name, counting)
         T.loss_and_gradients(sents, net, crf, toy_table, config, vocab, labels, seed=5)
         assert len(sents) == 3 and calls == {"emissions_forward": 1, "emissions_backward": 1}
+
+
+def reference_adam_update(state, params, grads, cfg):
+    """The allocating Adam step the in-place one replaced, kept as a reference:
+    six full-size temporaries per tensor and the bias corrections applied to
+    m and v separately. state holds "m", "v" (dicts like params) and "t"."""
+    state["t"] += 1
+    t = state["t"]
+    b1, b2, eps, lr = T.ADAM_BETA1, T.ADAM_BETA2, T.ADAM_EPSILON, cfg.learning_rate
+    for k, p in params.items():
+        g, m, v = grads[k], state["m"][k], state["v"][k]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestAdam:
+    SHAPES = {"a": (40, 30), "b": (7,), "c": (3, 4, 5)}
+
+    def test_in_place_update_matches_the_reference_over_5_steps(self):
+        rng = np.random.default_rng(4)
+        params = {k: rng.uniform(-0.1, 0.1, size=shape) for k, shape in self.SHAPES.items()}
+        start = {k: p.copy() for k, p in params.items()}
+        ref_params = {k: p.copy() for k, p in params.items()}
+        adam = T.AdamState(params)
+        ref = {"m": {k: np.zeros_like(p) for k, p in params.items()},
+               "v": {k: np.zeros_like(p) for k, p in params.items()}, "t": 0}
+        cfg = T.TrainConfig(learning_rate=0.01)
+        for step in range(5):
+            # Gradient entries from 1e-6 to 1e2, so that the steps span many scales.
+            grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3, size=p.shape)
+                     for k, p in params.items()}
+            adam.update(params, grads, cfg)
+            reference_adam_update(ref, ref_params, grads, cfg)
+            for k in params:
+                np.testing.assert_allclose(params[k], ref_params[k], rtol=1e-12, atol=0, err_msg=f"{k}, step {step}")
+                np.testing.assert_allclose(adam.first_moment[k], ref["m"][k], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(adam.second_moment[k], ref["v"][k], rtol=1e-12, atol=0)
+        assert all(np.all(params[k] != start[k]) for k in params)
+
+    def test_a_step_allocates_no_full_size_temporary(self):
+        rng = np.random.default_rng(5)
+        params = {"w": rng.uniform(-0.1, 0.1, size=(250, 400)).astype(np.float32)}  # 400 kB
+        grads = {"w": rng.normal(size=(250, 400)).astype(np.float32)}
+        adam = T.AdamState(params)
+        cfg = T.TrainConfig()
+        adam.update(params, grads, cfg)
+        tracemalloc.start()
+        try:
+            adam.update(params, grads, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * params["w"].nbytes, peak
+        assert all(arr.dtype == np.float32 for arr in (*adam.first_moment.values(), *adam.second_moment.values()))
 
 
 class TestClipping:
@@ -270,6 +330,110 @@ class TestTrain:
         (second,) = [s for s in seen if len(s) == 88]
         assert second.tags[:4] == ["B-Symptom", "I-Symptom", "I-Symptom", "I-Symptom"]
         assert second.tags[4:] == ["O"] * 84
+
+
+def learnable_corpus(seed, train_tokens, dev_tokens, dim=16):
+    """Seeded train and dev documents over the toy labels, with a word table in
+    which each label's words sit around their own centre, and each label's
+    words share a suffix the char-CNN can see. Entities are 1-2 tokens."""
+    rng = np.random.default_rng(seed)
+    suffixes = {"Symptom": "itis", "Treatment": "mab", "Biomarker": "ase"}
+    letters = list("bcdfgklmnprstv")
+    lexicon = {lab: ["".join(rng.choice(letters, 3)) + suffix for _ in range(25)] for lab, suffix in suffixes.items()}
+    filler = ["".join(rng.choice(letters + list("aeiou"), int(rng.integers(2, 7)))) for _ in range(80)]
+    words, vectors = [], []
+    for words_of_label in [*lexicon.values(), filler]:
+        centre = rng.normal(size=dim)
+        words += words_of_label
+        vectors += [centre + 0.7 * rng.normal(size=dim) for _ in words_of_label]
+
+    def documents(n_tokens, name):
+        sentences, total = [], 0
+        while total < n_tokens:
+            tokens = []
+            for _ in range(int(rng.integers(6, 18))):
+                if rng.random() < 0.25:
+                    label = list(suffixes)[int(rng.integers(3))]
+                    for k in range(int(rng.integers(1, 3))):
+                        tokens.append(Token(lexicon[label][int(rng.integers(25))], ("I-" if k else "B-") + label))
+                else:
+                    tokens.append(Token(filler[int(rng.integers(80))]))
+            sentences.append(Sentence(tuple(tokens)))
+            total += len(tokens)
+        return [Document(name, tuple(sentences))]
+
+    return documents(train_tokens, "train"), documents(dev_tokens, "dev"), EmbeddingTable(tuple(words), np.array(vectors))
+
+
+class TestTrainingPrecision:
+    """The network trains in float32 and the CRF in float64."""
+
+    def test_network_tensors_update_in_float32_and_crf_tensors_in_float64(self, toy_corpus, toy_table, labels,
+                                                                          monkeypatch):
+        seen = []
+        real_update = T.AdamState.update
+
+        def spy(adam, params, grads, cfg):
+            seen.append({name: {p.dtype, grads[name].dtype, adam.first_moment[name].dtype,
+                                adam.second_moment[name].dtype} for name, p in params.items()})
+            return real_update(adam, params, grads, cfg)
+
+        monkeypatch.setattr(T.AdamState, "update", spy)
+        config = small_net_config(labels, dropout_rate=0.5)
+        result = T.train(toy_corpus, [], toy_table, config, T.TrainConfig(epochs=1, seed=3), labels)
+        assert seen and list(seen[0]) == [name for name, _ in T.all_param_items(result.checkpoint.network,
+                                                                               result.checkpoint.crf)]
+        for step in seen:
+            for name, dtypes in step.items():
+                assert dtypes == {np.dtype(np.float64 if name.startswith("crf.") else np.float32)}, name
+
+    def test_float32_gradients_match_float64_on_a_paper_size_batch(self):
+        rng = np.random.default_rng(11)
+        labels = LabelSet()
+        config = N.NetworkConfig(num_tags=labels.num_tags)  # the paper's sizes: H=200, word_dim 200, 25 tags
+        words = [f"w{i}x" for i in range(300)]
+        table = EmbeddingTable(tuple(words), rng.normal(scale=0.5, size=(300, config.word_dim)))
+        batch = []
+        for n in [25, 3, 17, 40, 9, 12, 1, 22]:  # 129 tokens, as in a batch of 8 of the benchmark's corpus
+            tags, prev = [], "O"
+            for _ in range(n):
+                label = labels.labels[int(rng.integers(len(labels.labels)))]
+                r = rng.random()
+                prev = f"B-{label}" if r < 0.2 else f"I-{prev[2:]}" if r < 0.35 and prev != "O" else "O"
+                tags.append(prev)
+            batch.append(Sentence(tuple(Token(words[int(rng.integers(300))], tag) for tag in tags)))
+        vocab = build_char_vocab([Document("d", tuple(batch))])
+        drawn = N.init_network_params(config, len(vocab), rng)
+        crf = T.init_crf_params(config.num_tags, rng)
+        net32 = {k: v.astype(np.float32) for k, v in drawn.items()}
+        net64 = {k: v.astype(np.float64) for k, v in net32.items()}  # the same values, in float64
+        for seed in (None, 7):
+            loss32, grads32 = T.loss_and_gradients(batch, net32, crf, table, config, vocab, labels, seed=seed)
+            loss64, grads64 = T.loss_and_gradients(batch, net64, crf, table, config, vocab, labels, seed=seed)
+            assert loss32 == pytest.approx(loss64, rel=1e-7)
+            for name, ref in grads64.items():
+                # Measured: at most about 4e-7 of the largest entry for the network
+                # tensors and 4e-9 for the CRF's, whose forward-backward is float64.
+                tol = 1e-6 if name.startswith("crf.") else 1e-5
+                assert grads32[name].dtype == (np.float64 if name.startswith("crf.") else np.float32)
+                err = np.max(np.abs(grads32[name] - ref)) / np.max(np.abs(ref))
+                assert err < tol, (name, seed, err)
+
+    def test_seeded_float32_training_learns_as_float64_training_does(self, monkeypatch):
+        labels = LabelSet(("Symptom", "Treatment", "Biomarker"))
+        train_docs, dev_docs, table = learnable_corpus(3, 3000, 1000)
+        config = N.NetworkConfig(num_tags=labels.num_tags, word_dim=16, char_embed_dim=8, char_filter_count=16,
+                                 lstm_hidden=32, dropout_rate=0.5)
+        tc = T.TrainConfig(epochs=4, learning_rate=0.01, seed=3)
+        f1 = {}
+        for dtype in (np.float32, np.float64):
+            monkeypatch.setattr(T, "NETWORK_DTYPE", dtype)
+            result = T.train(train_docs, dev_docs, table, config, tc, labels)
+            assert result.checkpoint.network["lstm_fw.wx"].dtype == np.float32
+            f1[dtype] = result.history[-1].dev_f1
+        # Both reach 0.9346 on this corpus; an untrained model scores about 0.
+        assert f1[np.float32] >= 0.90
+        assert abs(f1[np.float32] - f1[np.float64]) <= 0.02
 
 
 class TestCheckpoint:
@@ -412,6 +576,26 @@ class TestCheckpoint:
         path.write_bytes(b"[1, 2]\n")
         with pytest.raises(IntegrityError):
             T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["corpus", "binary", "json-without-newline", "truncated-checkpoint"])
+    def test_a_file_that_is_not_a_checkpoint_is_refused_before_its_payload_is_read(self, trained, data_dir,
+                                                                                    tmp_path, monkeypatch, kind):
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        data = {
+            "corpus": data_dir.joinpath("toy_corpus.conll").read_bytes(),
+            "binary": np.random.default_rng(0).bytes(1 << 16),
+            "json-without-newline": b'{"format_version": 1, "tensors": []' + b" " * 100_000,
+            "truncated-checkpoint": path.read_bytes()[:-4],
+        }[kind]
+        path.write_bytes(data)
+        reads = []
+        real_fromfile = np.fromfile
+        monkeypatch.setattr(np, "fromfile", lambda *a, **kw: reads.append(a) or real_fromfile(*a, **kw))
+        with pytest.raises(IntegrityError):
+            T.load_checkpoint(path)
+        assert reads == []
 
     @pytest.mark.parametrize("case", sorted(DAMAGED))
     def test_damaged_checkpoint_is_an_integrity_error_naming_it(self, trained, tmp_path, case):

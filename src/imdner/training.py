@@ -226,7 +226,8 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         if f.read(1) != b"{":  # so a file of another kind is not read to its first newline
             raise IntegrityError("not a checkpoint: it does not start with a JSON header")
-        header_line = b"{" + f.readline()
+        f.seek(0)
+        header_line = f.readline()
         payload_start = f.tell()
         payload_bytes = os.fstat(f.fileno()).st_size - payload_start
     try:

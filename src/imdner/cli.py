@@ -67,7 +67,7 @@ def cmd_train(args) -> int:
     net_cfg = NetworkConfig(
         num_tags=labels.num_tags,
         word_dim=table.dim,
-        dropout_rate=train_kw.get("dropout_rate", train_cfg.dropout_rate),
+        dropout_rate=train_cfg.dropout_rate,
         **net_kw,
     )
     print(

@@ -1,5 +1,9 @@
 """Linear-chain CRF: NLL and its gradients from one forward-backward, Viterbi, BIO mask.
 
+Its tensors live in the model's one weight dict under the names param_shapes
+declares: crf.transitions[i, j] scores tag i -> tag j, crf.start and crf.end
+the first and last tag.
+
 The forward-backward is log-space float64: nll_gradients upcasts its
 emissions on entry, because in float32 a long sentence's marginals drift
 (about 1% of a marginal at 512 tokens). Viterbi runs in the dtype of its
@@ -15,26 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LabelSet
-from .errors import ValidationError, check_finite
+from .errors import check_finite
 
 # Score of a move the BIO scheme forbids: no emission can beat it.
 MASK_SCORE = -np.inf
 
 
-@dataclass
-class CrfParams:
-    transitions: np.ndarray  # (num_tags, num_tags), score of tag_i -> tag_j
-    start_scores: np.ndarray  # (num_tags,)
-    end_scores: np.ndarray  # (num_tags,)
+def param_shapes(num_tags: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of the CRF tensors, in weight-dict order."""
+    return [("crf.transitions", (num_tags, num_tags)), ("crf.start", (num_tags,)), ("crf.end", (num_tags,))]
 
-    def __post_init__(self):
-        k = len(self.start_scores)
-        if self.transitions.shape != (k, k) or self.end_scores.shape != (k,):
-            raise ValidationError("CRF parameter shapes are inconsistent")
 
-    @property
-    def num_tags(self):
-        return len(self.start_scores)
+def init_params(num_tags: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Seeded uniform(-0.1, 0.1) drawn in param_shapes order."""
+    return {n: rng.uniform(-0.1, 0.1, size=s) for n, s in param_shapes(num_tags)}
 
 
 @dataclass(frozen=True)
@@ -43,12 +41,12 @@ class PathScore:
     score: float
 
 
-def path_score(emissions: np.ndarray, crf: CrfParams, tags) -> float:
+def path_score(emissions: np.ndarray, params: dict[str, np.ndarray], tags) -> float:
     """Unnormalized log-score of one tag sequence."""
     tags = np.asarray(list(tags), dtype=int)
-    s = crf.start_scores[tags[0]] + crf.end_scores[tags[-1]]
+    s = params["crf.start"][tags[0]] + params["crf.end"][tags[-1]]
     s += emissions[np.arange(len(tags)), tags].sum()
-    s += crf.transitions[tags[:-1], tags[1:]].sum()
+    s += params["crf.transitions"][tags[:-1], tags[1:]].sum()
     return float(s)
 
 
@@ -58,7 +56,7 @@ def _logsumexp(a, axis=None):
     return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
 
 
-def nll_gradients(emissions: np.ndarray, crf: CrfParams, gold_tags):
+def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tags):
     """nll value plus its analytic gradients w.r.t. emissions and CRF params.
 
     nll = log Z - gold path score, log Z summing exp(score) over all paths
@@ -68,18 +66,19 @@ def nll_gradients(emissions: np.ndarray, crf: CrfParams, gold_tags):
     The emissions are upcast to float64, so every result is float64.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
+    trans, start, end = params["crf.transitions"], params["crf.start"], params["crf.end"]
     T = emissions.shape[0]
     gold = np.asarray(gold_tags)
     alpha = np.empty_like(emissions)
-    alpha[0] = crf.start_scores + emissions[0]
+    alpha[0] = start + emissions[0]
     for t in range(1, T):
-        alpha[t] = emissions[t] + _logsumexp(alpha[t - 1][:, None] + crf.transitions, axis=0)
+        alpha[t] = emissions[t] + _logsumexp(alpha[t - 1][:, None] + trans, axis=0)
     beta = np.empty_like(emissions)
-    beta[T - 1] = crf.end_scores
+    beta[T - 1] = end
     for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(crf.transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    log_z = _logsumexp(alpha[-1] + crf.end_scores)
-    value = float(log_z) - path_score(emissions, crf, gold)
+        beta[t] = _logsumexp(trans + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+    log_z = _logsumexp(alpha[-1] + end)
+    value = float(log_z) - path_score(emissions, params, gold)
 
     marg = np.exp(alpha + beta - log_z)
     d_emis = marg.copy()
@@ -88,7 +87,7 @@ def nll_gradients(emissions: np.ndarray, crf: CrfParams, gold_tags):
     # Expected pairwise counts of all T-1 transitions at once: (T-1, K, K).
     pair = np.exp(
         alpha[:-1, :, None]
-        + crf.transitions
+        + trans
         + (emissions[1:] + beta[1:])[:, None, :]
         - log_z
     )
@@ -103,17 +102,18 @@ def nll_gradients(emissions: np.ndarray, crf: CrfParams, gold_tags):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the path score is checked
-def viterbi(emissions: np.ndarray, crf: CrfParams) -> PathScore:
+def viterbi(emissions: np.ndarray, params: dict[str, np.ndarray]) -> PathScore:
     """Maximum-score tag sequence; ties resolved toward the lowest index."""
     check_finite(emissions, "emissions")
     T, K = emissions.shape
-    v = crf.start_scores + emissions[0]
+    trans = params["crf.transitions"]
+    v = params["crf.start"] + emissions[0]
     backptr = np.zeros((T, K), dtype=int)
     for t in range(1, T):
-        scores = v[:, None] + crf.transitions  # (prev, cur)
+        scores = v[:, None] + trans  # (prev, cur)
         backptr[t] = np.argmax(scores, axis=0)  # first max = lowest index
         v = emissions[t] + scores[backptr[t], np.arange(K)]
-    v = v + crf.end_scores
+    v = v + params["crf.end"]
     last = int(np.argmax(v))
     best_score = float(v[last])
     # An overflow to +inf meets a -inf mask as NaN, which argmax would pick.
@@ -138,16 +138,14 @@ def bio_transition_mask(labels: LabelSet) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore")  # inf + MASK_SCORE is NaN, which viterbi rejects
-def masked(crf: CrfParams, labels: LabelSet) -> CrfParams:
-    """CRF parameters with the hard BIO mask applied, for decoding only.
+def masked(params: dict[str, np.ndarray], labels: LabelSet) -> dict[str, np.ndarray]:
+    """The CRF tensors of params with the hard BIO mask applied, for decoding only.
 
     Invalid moves score -inf, so Viterbi output is BIO-valid whatever the
-    emissions; the result is not fit for gradients. It
-    keeps the dtype of crf, so a float32 CRF decodes in float32.
+    emissions; the result is not fit for gradients. It keeps the dtype of
+    the CRF tensors, so a float32 CRF decodes in float32.
     """
-    mask = bio_transition_mask(labels).astype(crf.transitions.dtype, copy=False)
-    return CrfParams(
-        transitions=crf.transitions + mask[:-1],
-        start_scores=crf.start_scores + mask[-1],
-        end_scores=crf.end_scores.copy(),
-    )
+    trans = params["crf.transitions"]
+    mask = bio_transition_mask(labels).astype(trans.dtype, copy=False)
+    return {"crf.transitions": trans + mask[:-1], "crf.start": params["crf.start"] + mask[-1],
+            "crf.end": params["crf.end"].copy()}

@@ -9,11 +9,11 @@ Dropout applies only when a seed is supplied; sentence j's mask is drawn
 from [seed, j]. The forward pass caches every intermediate the manual
 backward pass needs.
 
-The weights are a dict of named tensors whose names, shapes and order
-param_shapes declares; the gradients, Adam and the checkpoint use the same
-names. A forward pass stops with a NumericError naming the first stage whose
-output holds a NaN or an Inf; numpy's overflow and invalid-value warnings are
-off inside it.
+The weights are the model's one name -> tensor dict: param_shapes declares
+the network's tensors, and the CRF's follow them. The gradients, Adam and the
+checkpoint use the same names. A forward pass stops with a NumericError
+naming the first stage whose output holds a NaN or an Inf; numpy's overflow
+and invalid-value warnings are off inside it.
 
 - Char-CNN: the convolution windows of all N tokens, packed token after
   token with no padding, are gathered with one fancy index and scored with

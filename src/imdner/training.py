@@ -1,16 +1,18 @@
 """Supervised training: analytic gradients, Adam, checkpoints, prediction.
 
 The whole trajectory (init, shuffles, dropout masks) flows from one seed, so
-a repeated run produces a bitwise-identical checkpoint. The network trains in
-float32: its weights are drawn in float64 and cast once, so its gradients
-and Adam moments are float32 too. The CRF's few parameters stay float64, and
+a repeated run produces a bitwise-identical checkpoint. The weights are one
+name -> tensor dict, the network's tensors and then the CRF's; gradients,
+Adam's moments and the checkpoint keep its names and order. The network
+trains in float32: its weights are drawn in float64 and cast once, so its
+gradients and Adam moments are float32 too. The CRF's stay float64, and
 crf.nll_gradients runs its forward-backward in float64 (Micikevicius et al.,
 arXiv:1710.03740: the heavy GEMMs in low precision, the precision-sensitive
-reductions in high). A checkpoint holds float32 copies of the network and
-CRF tensors and the frozen float32 embedding table, so the on-disk float32
-container is lossless and a checkpoint decodes in float32 whether it was just
-made or loaded from disk. Training, dev scoring and every checkpoint of a run
-use one and the same table.
+reductions in high). A checkpoint holds a float32 copy of every weight and
+the frozen float32 embedding table, so the on-disk float32 container is
+lossless and a checkpoint decodes in float32 whether it was just made or
+loaded from disk. Training, dev scoring and every checkpoint of a run use one
+and the same table.
 """
 
 from __future__ import annotations
@@ -90,29 +92,16 @@ class AdamState:
             p -= np.multiply(s, step, out=s)
 
 
-def crf_param_shapes(num_tags: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of the CRF tensors, in CrfParams field order."""
-    return [("crf.transitions", (num_tags, num_tags)), ("crf.start", (num_tags,)), ("crf.end", (num_tags,))]
-
-
-def all_param_items(net_params: dict[str, np.ndarray], crf_params: crf_mod.CrfParams):
-    """Declared tensor order, shared by Adam, gradients and the checkpoint."""
-    crf_arrays = (crf_params.transitions, crf_params.start_scores, crf_params.end_scores)
-    crf_names = (name for name, _ in crf_param_shapes(crf_params.num_tags))
-    return [*net_params.items(), *zip(crf_names, crf_arrays)]
-
-
 def loss_and_gradients(
     batch: list[Sentence],
-    net_params: dict[str, np.ndarray],
-    crf_params: crf_mod.CrfParams,
+    params: dict[str, np.ndarray],
     table: EmbeddingTable,
     config: net_mod.NetworkConfig,
     vocab: CharVocab,
     labels: LabelSet,
     seed=None,
 ):
-    """Mean per-sentence CRF negative log-likelihood and its gradients.
+    """Mean per-sentence CRF negative log-likelihood and its gradients, keyed as params.
 
     The network runs once forward and once backward over the whole batch;
     the CRF runs per sentence on its rows. Dropout is active only when a
@@ -121,24 +110,24 @@ def loss_and_gradients(
     """
     if not batch:
         raise ValidationError("empty batch")
-    grads = {name: np.zeros_like(arr) for name, arr in all_param_items(net_params, crf_params)}
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     scale = 1.0 / len(batch)
     total = 0.0
     texts = [t for sent in batch for t in sent.texts]
     lengths = [len(sent) for sent in batch]
     dropout_seed = None if seed is None else int(seed) & 0x7FFFFFFF
-    emis, cache = net_mod.emissions_forward(texts, lengths, table, net_params, config, vocab, dropout_seed)
+    emis, cache = net_mod.emissions_forward(texts, lengths, table, params, config, vocab, dropout_seed)
     d_emis = np.empty_like(emis)
     offsets = np.cumsum([0, *lengths])
     for sent, a, b in zip(batch, offsets, offsets[1:]):
         gold = [labels.tag_index(t) for t in sent.tags]
-        value, d_emis[a:b], d_trans, d_start, d_end = crf_mod.nll_gradients(emis[a:b], crf_params, gold)
+        value, d_emis[a:b], d_trans, d_start, d_end = crf_mod.nll_gradients(emis[a:b], params, gold)
         total += value
         grads["crf.transitions"] += scale * d_trans
         grads["crf.start"] += scale * d_start
         grads["crf.end"] += scale * d_end
     d_emis *= scale
-    net_mod.emissions_backward(d_emis, cache, net_params, config, grads)
+    net_mod.emissions_backward(d_emis, cache, params, config, grads)
     return total * scale, grads
 
 
@@ -157,36 +146,32 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NOR
 
 @dataclass
 class Checkpoint:
-    network: dict[str, np.ndarray]  # keyed and ordered by network.param_shapes
-    crf: crf_mod.CrfParams
+    params: dict[str, np.ndarray]  # ordered by network.param_shapes + crf.param_shapes
     config: net_mod.NetworkConfig
     label_set: LabelSet
     char_vocab: CharVocab
     embeddings: EmbeddingTable
-    format_version: int = CHECKPOINT_VERSION
     metadata: dict = field(default_factory=dict)
 
 
-def make_checkpoint(net_params, crf_params, config, labels, vocab, table, metadata=None) -> Checkpoint:
-    """Snapshot the parameters as float32 copies, exactly what save_checkpoint
+def make_checkpoint(params, config, labels, vocab, table, metadata=None) -> Checkpoint:
+    """Snapshot the weights as float32 copies, exactly what save_checkpoint
     writes, so predictions from memory and from disk agree. The network
     trains in float32, so its tensors are only copied; the CRF is cast.
 
     The embedding table is frozen and already float32, so it is shared, not
     copied: one table serves training and every checkpoint of a run.
     """
-    net = {n: arr.astype(np.float32) for n, arr in net_params.items()}
-    crf_arrays = (crf_params.transitions, crf_params.start_scores, crf_params.end_scores)
-    crf = crf_mod.CrfParams(*(arr.astype(np.float32) for arr in crf_arrays))
-    return Checkpoint(net, crf, config, labels, vocab, table, metadata=dict(metadata or {}))
+    weights = {n: arr.astype(np.float32) for n, arr in params.items()}
+    return Checkpoint(weights, config, labels, vocab, table, metadata=dict(metadata or {}))
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    tensors = all_param_items(ckpt.network, ckpt.crf)
-    tensors += [("embeddings.matrix", ckpt.embeddings.matrix), ("embeddings.unk", ckpt.embeddings.unk_vector)]
+    tensors = [*ckpt.params.items(), ("embeddings.matrix", ckpt.embeddings.matrix),
+               ("embeddings.unk", ckpt.embeddings.unk_vector)]
 
     header = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.config),
         "labels": list(ckpt.label_set.labels),
         "char_vocab": "".join(ckpt.char_vocab.chars),
@@ -254,14 +239,13 @@ def load_checkpoint(path) -> Checkpoint:
     if _header_field(header, "embedding_dim", int) != config.word_dim:
         raise IntegrityError("embedding_dim does not match the stored word_dim")
 
-    net_shapes = net_mod.param_shapes(config, len(vocab))
-    crf_shapes = crf_param_shapes(config.num_tags)
+    param_shapes = net_mod.param_shapes(config, len(vocab)) + crf_mod.param_shapes(config.num_tags)
     table_shapes = [("embeddings.matrix", (len(words), config.word_dim)), ("embeddings.unk", (config.word_dim,))]
     names = [name for name, _ in specs]
     for name in names:
         if names.count(name) > 1:
             raise IntegrityError(f"tensor {name!r} is listed {names.count(name)} times in the checkpoint")
-    declared, stored = dict(net_shapes + crf_shapes + table_shapes), dict(specs)
+    declared, stored = dict(param_shapes + table_shapes), dict(specs)
     for name in [*declared, *stored]:
         if stored.get(name) != declared.get(name):
             got, want = stored.get(name, "missing"), declared.get(name, "unknown")
@@ -276,14 +260,13 @@ def load_checkpoint(path) -> Checkpoint:
 
     offsets = np.cumsum([0, *sizes])
     arrays = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(specs, offsets, offsets[1:])}
-    net = {name: arrays[name] for name, _ in net_shapes}
-    crf = crf_mod.CrfParams(*(arrays[name] for name, _ in crf_shapes))
+    params = {name: arrays[name] for name, _ in param_shapes}
     # The embedding table is left to emissions_forward, which checks the rows a text uses.
-    for name, arr in all_param_items(net, crf):
+    for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise IntegrityError(f"tensor {name!r} holds NaN or Inf values")
     table = EmbeddingTable(words, arrays["embeddings.matrix"], arrays["embeddings.unk"])
-    return Checkpoint(net, crf, config, labels, vocab, table, format_version=version, metadata=_header_field(header, "metadata", dict))
+    return Checkpoint(params, config, labels, vocab, table, metadata=_header_field(header, "metadata", dict))
 
 
 def _chunks(n: int) -> list[slice]:
@@ -314,7 +297,7 @@ def predict_documents(ckpt: Checkpoint, docs: list[Document]) -> list[Document]:
     checkpoint. The BIO-masked CRF is built once per call, so every predicted
     sequence is BIO-valid.
     """
-    decode_crf = crf_mod.masked(ckpt.crf, ckpt.label_set)
+    decode_crf = crf_mod.masked(ckpt.params, ckpt.label_set)
     tag_names = ckpt.label_set.tags
     chunks = [sent.texts[piece] for doc in docs for sent in doc.sentences for piece in _chunks(len(sent))]
     limit = net_mod.MAX_SENTENCE_LEN
@@ -329,7 +312,7 @@ def predict_documents(ckpt: Checkpoint, docs: list[Document]) -> list[Document]:
     for group in groups:
         lengths = [len(chunk) for chunk in group]
         texts = [t for chunk in group for t in chunk]
-        emis, _ = net_mod.emissions_forward(texts, lengths, ckpt.embeddings, ckpt.network, ckpt.config, ckpt.char_vocab)
+        emis, _ = net_mod.emissions_forward(texts, lengths, ckpt.embeddings, ckpt.params, ckpt.config, ckpt.char_vocab)
         for rows in np.split(emis, np.cumsum(lengths)[:-1]):
             tags.extend(tag_names[y] for y in crf_mod.viterbi(rows, decode_crf).tags)
     tag_iter = iter(tags)
@@ -370,10 +353,6 @@ def _check_network_fits(net_config: net_mod.NetworkConfig, vocab_size: int):
                               f"more than this machine's {memory / 2**30:,.1f} GiB of memory")
 
 
-def init_crf_params(num_tags: int, rng: np.random.Generator) -> crf_mod.CrfParams:
-    return crf_mod.CrfParams(*(rng.uniform(-0.1, 0.1, size=shape) for _, shape in crf_param_shapes(num_tags)))
-
-
 def train(
     train_docs: list[Document],
     dev_docs: list[Document],
@@ -398,10 +377,9 @@ def train(
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     # Drawn in float64 and cast once, so the draws and their order are those of a float64 run.
     drawn = net_mod.init_network_params(net_config, len(vocab), init_rng)
-    net_params = {n: arr.astype(NETWORK_DTYPE) for n, arr in drawn.items()}
-    crf_params = init_crf_params(net_config.num_tags, init_rng)
-    param_dict = dict(all_param_items(net_params, crf_params))
-    adam = AdamState(param_dict)
+    params = {n: arr.astype(NETWORK_DTYPE) for n, arr in drawn.items()}
+    params.update(crf_mod.init_params(net_config.num_tags, init_rng))
+    adam = AdamState(params)
 
     sentences = [s for doc in train_docs for sent in doc.sentences for s in _split_long(sent)]
     history: list[EpochRecord] = []
@@ -417,14 +395,12 @@ def train(
             seed = (train_config.seed * 1_000_003 + epoch * 1_009 + b_start) & 0x7FFFFFFF
             dropout_seed = seed if train_config.dropout_rate > 0 else None
             try:
-                loss, grads = loss_and_gradients(
-                    batch, net_params, crf_params, table, net_config, vocab, labels, seed=dropout_seed
-                )
+                loss, grads = loss_and_gradients(batch, params, table, net_config, vocab, labels, seed=dropout_seed)
                 clip_gradients(grads)
             except NumericError as e:
                 batch_no = b_start // train_config.batch_size + 1
                 raise NumericError(f"epoch {epoch}, batch {batch_no}: {e}") from e
-            adam.update(param_dict, grads, train_config)
+            adam.update(params, grads, train_config)
             losses.append(loss * len(batch))
             counts.append(len(batch))
         epoch_loss = float(sum(losses) / sum(counts))
@@ -432,7 +408,7 @@ def train(
         record = EpochRecord(epoch=epoch, loss=epoch_loss)
         if dev_docs:
             ckpt = make_checkpoint(
-                net_params, crf_params, net_config, labels, vocab, table,
+                params, net_config, labels, vocab, table,
                 metadata={"seed": train_config.seed, "epochs_completed": epoch, "final_loss": epoch_loss},
             )
             pred = predict_documents(ckpt, dev_docs)
@@ -444,7 +420,7 @@ def train(
         history.append(record)
 
     final = make_checkpoint(
-        net_params, crf_params, net_config, labels, vocab, table,
+        params, net_config, labels, vocab, table,
         metadata={"seed": train_config.seed, "epochs_completed": train_config.epochs, "final_loss": history[-1].loss},
     )
     return TrainResult(checkpoint=final, best_checkpoint=best_ckpt or final, history=history)

@@ -6,11 +6,11 @@ import itertools
 import numpy as np
 from scipy.special import logsumexp
 
-from imdner.crf import CrfParams, PathScore, nll_gradients, path_score
+from imdner.crf import PathScore, nll_gradients, path_score
 from imdner.errors import ValidationError
 
 
-def brute_force_oracle(emissions: np.ndarray, crf: CrfParams):
+def brute_force_oracle(emissions: np.ndarray, crf: dict[str, np.ndarray]):
     """Exhaustive enumeration over all num_tags**T paths.
 
     Returns (log Z, PathScore, marginals) under the same tie rule as
@@ -23,11 +23,11 @@ def brute_force_oracle(emissions: np.ndarray, crf: CrfParams):
         raise ValidationError(f"instance too large for brute force: {K}^{T} paths")
 
     paths = np.array(list(itertools.product(range(K), repeat=T)), dtype=int)
-    scores = crf.start_scores[paths[:, 0]] + crf.end_scores[paths[:, -1]]
+    scores = crf["crf.start"][paths[:, 0]] + crf["crf.end"][paths[:, -1]]
     for t in range(T):
         scores = scores + emissions[t, paths[:, t]]
     for t in range(1, T):
-        scores = scores + crf.transitions[paths[:, t - 1], paths[:, t]]
+        scores = scores + crf["crf.transitions"][paths[:, t - 1], paths[:, t]]
 
     log_z = float(logsumexp(scores))
 
@@ -47,7 +47,7 @@ def brute_force_oracle(emissions: np.ndarray, crf: CrfParams):
     return log_z, best, marg
 
 
-def log_z_and_marginals(emissions: np.ndarray, crf: CrfParams):
+def log_z_and_marginals(emissions: np.ndarray, crf: dict[str, np.ndarray]):
     """(log Z, marginals) recovered from nll_gradients on the all-zero gold path.
 
     nll = log Z - path score and d nll / d emissions = marginals - onehot(gold),

@@ -12,7 +12,6 @@ import pytest
 
 from imdner import crf as C
 from imdner import network as N
-from imdner import training as T
 from imdner.cli import main as cli_main
 from imdner.corpus import (
     Document,
@@ -47,11 +46,11 @@ def test_criterion_1_crf_oracle_equivalence():
         T_len = int(rng.integers(1, 6))
         K = 3
         emis = rng.normal(size=(T_len, K)) * 2
-        params = C.CrfParams(
-            transitions=rng.normal(size=(K, K)),
-            start_scores=rng.normal(size=K),
-            end_scores=rng.normal(size=K),
-        )
+        params = {
+            "crf.transitions": rng.normal(size=(K, K)),
+            "crf.start": rng.normal(size=K),
+            "crf.end": rng.normal(size=K),
+        }
         lz, marg = log_z_and_marginals(emis, params)
         olz, obest, omarg = brute_force_oracle(emis, params)
         assert abs(lz - olz) < 1e-6
@@ -81,17 +80,17 @@ def test_criterion_2_gradient_correctness():
         Sentence((Token("prednisone", "B-Treatment"), Token("."))),
     ]
     vocab = build_char_vocab([Document("d", tuple(sentences))])
-    net = N.init_network_params(config, len(vocab), rng)
-    crf_params = T.init_crf_params(config.num_tags, rng)
+    params = N.init_network_params(config, len(vocab), rng)
+    params.update(C.init_params(config.num_tags, rng))
 
     def loss_only():
-        value, _ = loss_and_gradients(sentences, net, crf_params, table, config, vocab, labels, seed=7)
+        value, _ = loss_and_gradients(sentences, params, table, config, vocab, labels, seed=7)
         return value
 
-    _, grads = loss_and_gradients(sentences, net, crf_params, table, config, vocab, labels, seed=7)
+    _, grads = loss_and_gradients(sentences, params, table, config, vocab, labels, seed=7)
     eps = 1e-4
     worst = 0.0
-    for name, arr in T.all_param_items(net, crf_params):
+    for name, arr in params.items():
         fd = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:

@@ -382,6 +382,100 @@ def test_iaa_with_any_bytes_on_one_side_gives_a_result_or_one_error_line(data, f
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_CORPUS_BYTES, command=st.sampled_from(["predict", "predict-raw", "eval"]))
+@example(data=b"SLE\tB-Immune_Mediated_Disease\npain\tI-Immune_Mediated_Disease\n", command="eval")
+@example(data=b"SLE\tB-Nope\n", command="predict")
+@example(data=b"\xff", command="predict-raw")
+@example(data=b"\xef\xbb\xbf \x0b\r\n", command="predict-raw")
+def test_predict_and_eval_with_any_bytes_give_a_result_or_one_error_line(data, command, model_path, tmp_path):
+    corpus, out = tmp_path / "corpus.conll", tmp_path / "out.conll"
+    corpus.write_bytes(data)
+    out.unlink(missing_ok=True)  # tmp_path is shared by every example
+    argv = {
+        "predict": ["predict", "--input", str(corpus), "--out", str(out)],
+        "predict-raw": ["predict", "--raw", "--input", str(corpus), "--out", str(out)],
+        "eval": ["eval", "--corpus", str(corpus)],
+    }[command]
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        rc = main([*argv, "--model", str(model_path)])
+    err = err.getvalue()
+    if rc == 0:
+        assert err == ""
+        assert out.exists() if command != "eval" else stdout.getvalue()
+    else:
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+# Each example is a valid config that sets every size small, so that no
+# example builds a large network or trains for long, perhaps with one bad
+# entry: a value out of range or of the wrong type, an unknown key or a key
+# the config may not set.
+_CONFIG_SIZES = {"epochs": 2, "lstm_hidden": 8, "char_embed_dim": 8, "char_filter_count": 8}
+_CONFIG_INTS = {**_CONFIG_SIZES, "batch_size": 9, "seed": 99}
+_CONFIG_OPTIONAL = ["batch_size", "seed", "char_filter_width", "learning_rate", "dropout_rate"]
+_CONFIG_KNOWN = [*_CONFIG_SIZES, *_CONFIG_OPTIONAL]
+_WRONG_TYPE = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=2)
+
+
+def _good_value(key):
+    if key in _CONFIG_INTS:
+        return st.integers(0 if key == "seed" else 1, _CONFIG_INTS[key])
+    if key == "char_filter_width":
+        return st.sampled_from([1, 3, 5])
+    return st.floats(1e-4, 0.5) if key == "learning_rate" else st.floats(0, 0.9)
+
+
+def _bad_value(key):
+    if key in _CONFIG_INTS or key == "char_filter_width":
+        return st.integers(-1, 0) | st.sampled_from([2, 4]) | st.floats(0, 4) | _WRONG_TYPE
+    if key in _CONFIG_KNOWN:
+        return st.sampled_from([-0.5, 0, 1, 1.5, math.nan, math.inf]) | _WRONG_TYPE
+    return st.integers(0, 4) | _WRONG_TYPE
+
+
+def _entries(keys, value):
+    return st.sampled_from(keys).flatmap(lambda key: st.tuples(st.just(key), value(key)))
+
+
+_CONFIG = st.builds(
+    lambda sizes, good, bad: {**sizes, **dict(good), **dict(bad)},
+    st.fixed_dictionaries({key: _good_value(key) for key in _CONFIG_SIZES}),
+    st.lists(_entries(_CONFIG_OPTIONAL, _good_value), max_size=3),
+    st.lists(_entries([*_CONFIG_KNOWN, "num_tags", "word_dim", "adam_beta1", "hidden"], _bad_value), max_size=1),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_CONFIG)
+@example(config={"epochs": 1, "lstm_hidden": 2, "dropout_rate": 0})
+@example(config={"epochs": 1, "lstm_hidden": 2, "learning_rate": 0.5, "batch_size": 1})
+@example(config={"epochs": 1, "lstm_hidden": 4, "lstm": 4})
+@example(config={"epochs": 2.0})
+@example(config={"epochs": 1, "char_filter_width": 2})
+@example(config={"epochs": 1, "dropout_rate": math.nan})
+@example(config=[1])  # JSON, but not an object
+def test_any_train_config_gives_a_result_or_one_error_line(config, data_dir, tmp_path):
+    cfg, model = tmp_path / "config.json", tmp_path / "m.ckpt"
+    history = Path(str(model) + ".history.txt")
+    cfg.write_text(json.dumps(config))
+    model.unlink(missing_ok=True)  # tmp_path is shared by every example
+    history.unlink(missing_ok=True)
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        rc = main(["train", "--corpus", str(data_dir / "toy_corpus.conll"),
+                   "--embeddings", str(data_dir / "test_embeddings.txt"),
+                   "--config", str(cfg), "--out", str(model)])
+    err = err.getvalue()
+    if rc == 0:
+        assert err == "" and model.exists() and history.exists()
+    else:
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 def test_import_loads_no_scipy():
     src = Path(imdner.__file__).resolve().parent.parent
     code = "import imdner, imdner.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

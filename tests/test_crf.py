@@ -11,16 +11,20 @@ from crf_oracle import brute_force_oracle, log_z_and_marginals
 def random_instance(rng, T=None, K=3):
     T = T if T is not None else int(rng.integers(1, 6))
     emis = rng.normal(size=(T, K))
-    params = C.CrfParams(
-        transitions=rng.normal(size=(K, K)),
-        start_scores=rng.normal(size=K),
-        end_scores=rng.normal(size=K),
-    )
+    params = {
+        "crf.transitions": rng.normal(size=(K, K)),
+        "crf.start": rng.normal(size=K),
+        "crf.end": rng.normal(size=K),
+    }
     return emis, params
 
 
+def zero_params(K):
+    return {"crf.transitions": np.zeros((K, K)), "crf.start": np.zeros(K), "crf.end": np.zeros(K)}
+
+
 def zeros_instance(T, K):
-    return np.zeros((T, K)), C.CrfParams(np.zeros((K, K)), np.zeros(K), np.zeros(K))
+    return np.zeros((T, K)), zero_params(K)
 
 
 def _log_z(emis, params):
@@ -83,7 +87,7 @@ class TestNll:
 class TestViterbi:
     def test_t1_argmax(self):
         emis = np.array([[1.0, 3.0, 2.0]])
-        params = C.CrfParams(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
+        params = zero_params(3)
         best = C.viterbi(emis, params)
         assert best.tags == (1,)
         assert best.score == pytest.approx(3.0)
@@ -172,10 +176,9 @@ class TestBioMask:
             for scale in scales:
                 for _ in range(50):
                     emis = (rng.normal(size=(rng.integers(1, 8), K)) * scale).astype(dtype)
-                    params = C.CrfParams(*((rng.normal(size=s) * scale).astype(dtype) for s in ((K, K), K, K)))
+                    params = {n: (rng.normal(size=s) * scale).astype(dtype) for n, s in C.param_shapes(K)}
                     decode = C.masked(params, labels)
-                    assert {a.dtype for a in (decode.transitions, decode.start_scores, decode.end_scores)} == {
-                        np.dtype(dtype)}
+                    assert {a.dtype for a in decode.values()} == {np.dtype(dtype)}
                     best = C.viterbi(emis, decode)
                     tags = [labels.tags[i] for i in best.tags]
                     validate_bio(tags)  # raises on violation
@@ -186,7 +189,7 @@ class TestBioMask:
         K = labels.num_tags
         emis = np.zeros((1, K))
         emis[0, labels.tag_index("I-Symptom")] = 2e4
-        params = C.CrfParams(np.zeros((K, K)), np.zeros(K), np.zeros(K))
+        params = zero_params(K)
         best = C.viterbi(emis, C.masked(params, labels))
         assert labels.tags[best.tags[0]] != "I-Symptom"
 
@@ -194,7 +197,7 @@ class TestBioMask:
         labels = LabelSet(("Symptom",))
         K = labels.num_tags
         emis = np.full((3, K), 1e308)
-        params = C.CrfParams(np.zeros((K, K)), np.zeros(K), np.zeros(K))
+        params = zero_params(K)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="Viterbi"):
             C.viterbi(emis, C.masked(params, labels))
 

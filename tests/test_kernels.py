@@ -216,13 +216,13 @@ def reference_alphas_betas(emissions, crf):
     T = emissions.shape[0]
     alpha = np.empty_like(emissions)
     beta = np.empty_like(emissions)
-    alpha[0] = crf.start_scores + emissions[0]
+    alpha[0] = crf["crf.start"] + emissions[0]
     for t in range(1, T):
-        alpha[t] = emissions[t] + logsumexp(alpha[t - 1][:, None] + crf.transitions, axis=0)
-    beta[T - 1] = crf.end_scores
+        alpha[t] = emissions[t] + logsumexp(alpha[t - 1][:, None] + crf["crf.transitions"], axis=0)
+    beta[T - 1] = crf["crf.end"]
     for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(crf.transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    return alpha, beta, logsumexp(alpha[-1] + crf.end_scores)
+        beta[t] = logsumexp(crf["crf.transitions"] + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+    return alpha, beta, logsumexp(alpha[-1] + crf["crf.end"])
 
 
 def reference_nll_gradients(emissions, crf, gold):
@@ -234,7 +234,7 @@ def reference_nll_gradients(emissions, crf, gold):
         d_emis[t, y] -= 1.0
     d_trans = np.zeros((K, K))
     for t in range(T - 1):
-        d_trans += np.exp(alpha[t][:, None] + crf.transitions + (emissions[t + 1] + beta[t + 1])[None, :] - log_z)
+        d_trans += np.exp(alpha[t][:, None] + crf["crf.transitions"] + (emissions[t + 1] + beta[t + 1])[None, :] - log_z)
     for t in range(1, T):
         d_trans[gold[t - 1], gold[t]] -= 1.0
     d_start = marg[0].copy()
@@ -246,7 +246,7 @@ def reference_nll_gradients(emissions, crf, gold):
 
 def _crf_instance(rng, T, K=25, scale=1e3):
     emis = rng.choice([-scale, scale], size=(T, K)) * rng.uniform(0.5, 1.0, size=(T, K))
-    params = C.CrfParams(rng.normal(size=(K, K)), rng.normal(size=K), rng.normal(size=K))
+    params = {"crf.transitions": rng.normal(size=(K, K)), "crf.start": rng.normal(size=K), "crf.end": rng.normal(size=K)}
     return emis, params
 
 
@@ -257,7 +257,7 @@ def test_inline_logsumexp_matches_scipy(T, scale):
     for _ in range(5):
         emis, params = _crf_instance(rng, T, scale=scale)
         _, _, log_z = reference_alphas_betas(emis, params)
-        gold = list(rng.integers(0, params.num_tags, size=T))
+        gold = list(rng.integers(0, emis.shape[1], size=T))
         value, *got = C.nll_gradients(emis, params, gold)
         path = C.path_score(emis, params, gold)
         assert value + path == pytest.approx(float(log_z), rel=RTOL)
@@ -273,7 +273,8 @@ def test_nll_gradients_runs_float32_emissions_in_float64():
     rng = np.random.default_rng(512)
     K = 25
     emis = rng.normal(scale=3.0, size=(512, K)).astype(np.float32)
-    params = C.CrfParams(rng.uniform(-0.1, 0.1, (K, K)), rng.uniform(-0.1, 0.1, K), rng.uniform(-0.1, 0.1, K))
+    params = {"crf.transitions": rng.uniform(-0.1, 0.1, (K, K)), "crf.start": rng.uniform(-0.1, 0.1, K),
+              "crf.end": rng.uniform(-0.1, 0.1, K)}
     gold = list(rng.integers(0, K, size=len(emis)))
     value, *got = C.nll_gradients(emis, params, gold)
     ref_value, *ref = C.nll_gradients(emis.astype(np.float64), params, gold)

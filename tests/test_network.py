@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from imdner import crf as C
 from imdner import network as N
 from imdner import training
-from imdner.corpus import LabelSet, Sentence, Token
+from imdner.corpus import Document, LabelSet, Sentence, Token
 from imdner.embeddings import CharVocab, EmbeddingTable
 from imdner.errors import NumericError, ValidationError
 
@@ -60,22 +61,37 @@ class TestConfig:
 
 
 class TestParams:
-    def test_weights_grads_and_checkpoints_are_keyed_in_param_shapes_order(self, vocab, table, tmp_path):
+    def test_weights_grads_and_checkpoints_are_keyed_in_param_shapes_order(self, table, tmp_path, monkeypatch):
         labels = LabelSet(("Symptom",))
         config = make_config(num_tags=labels.num_tags)
-        declared = N.param_shapes(config, len(vocab))
-        names = [name for name, _ in declared]
-        params = N.init_network_params(config, len(vocab), np.random.default_rng(0))
-        crf = training.init_crf_params(config.num_tags, np.random.default_rng(1))
-        sent = Sentence((Token("the"), Token("fever", "B-Symptom")))
-        _, grads = training.loss_and_gradients([sent], params, crf, table, config, vocab, labels)
-        ckpt = training.make_checkpoint(params, crf, config, labels, vocab, table)
+        docs = [Document("d", (Sentence((Token("the"), Token("fever", "B-Symptom"))), Sentence((Token("rash"),))))]
+        steps = []
+        real_update = training.AdamState.update
+
+        def spy(adam, params, grads, cfg):
+            steps.append([{name: d[name].dtype for name in d}
+                          for d in (params, grads, adam.first_moment, adam.second_moment)])
+            return real_update(adam, params, grads, cfg)
+
+        monkeypatch.setattr(training.AdamState, "update", spy)
+        tc = training.TrainConfig(epochs=2, batch_size=1, seed=4)
+        ckpt = training.train(docs, [], table, config, tc, labels).checkpoint
         training.save_checkpoint(ckpt, tmp_path / "model.ckpt")
         loaded = training.load_checkpoint(tmp_path / "model.ckpt")
+        declared = N.param_shapes(config, len(ckpt.char_vocab)) + C.param_shapes(config.num_tags)
+        names = [name for name, _ in declared]
+        params = N.init_network_params(config, len(ckpt.char_vocab), np.random.default_rng(0))
+        params.update(C.init_params(config.num_tags, np.random.default_rng(1)))
         assert [(name, arr.shape) for name, arr in params.items()] == declared
-        assert list(grads) == names + [name for name, _ in training.crf_param_shapes(config.num_tags)]
-        assert list(ckpt.network) == names
-        assert list(loaded.network) == names
+        assert len(steps) == 4
+        for step in steps:  # the weights, their gradients and both Adam moments, while training
+            for dtypes in step:
+                assert list(dtypes) == names
+                for name, dtype in dtypes.items():
+                    assert dtype == (np.float64 if name.startswith("crf.") else np.float32), name
+        for weights in (ckpt.params, loaded.params):
+            assert [(name, arr.shape) for name, arr in weights.items()] == declared
+            assert {arr.dtype for arr in weights.values()} == {np.dtype(np.float32)}
 
 
 class TestCharFeatures:

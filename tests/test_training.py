@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from imdner import crf as C
 from imdner import network as N
 from imdner import training as T
 from imdner.corpus import Document, LabelSet, Sentence, Token
@@ -40,9 +41,9 @@ def tiny_setup(labels, toy_table):
     ]
     vocab = build_char_vocab([Document("d", tuple(sents))])
     rng = np.random.default_rng(0)
-    net = N.init_network_params(config, len(vocab), rng)
-    crf = T.init_crf_params(config.num_tags, rng)
-    return config, sents, vocab, net, crf
+    params = N.init_network_params(config, len(vocab), rng)
+    params.update(C.init_params(config.num_tags, rng))
+    return config, sents, vocab, params
 
 
 @pytest.fixture(scope="session")
@@ -75,11 +76,11 @@ class TestTrainConfig:
 
 class TestLossAndGradients:
     def test_zero_model_uniform_loss_and_bias_gradient(self, labels, toy_table, tiny_setup):
-        config, sents, vocab, net, crf = tiny_setup
-        for _, arr in T.all_param_items(net, crf):
+        config, sents, vocab, params = tiny_setup
+        for arr in params.values():
             arr[...] = 0.0
         batch = sents[:1]  # ("the", "fever"), T=2
-        loss, grads = T.loss_and_gradients(batch, net, crf, toy_table, config, vocab, labels)
+        loss, grads = T.loss_and_gradients(batch, params, toy_table, config, vocab, labels)
         K = labels.num_tags
         assert loss == pytest.approx(2 * np.log(K), abs=1e-9)
         # uniform marginals: d proj_bias = sum_t (1/K - onehot(gold_t))
@@ -89,21 +90,20 @@ class TestLossAndGradients:
         assert np.allclose(grads["proj_bias"], expected, atol=1e-9)
 
     def test_mean_semantics_under_duplication(self, labels, toy_table, tiny_setup):
-        config, sents, vocab, net, crf = tiny_setup
-        loss1, _ = T.loss_and_gradients(sents, net, crf, toy_table, config, vocab, labels)
-        loss2, _ = T.loss_and_gradients(sents + sents, net, crf, toy_table, config, vocab, labels)
+        config, sents, vocab, params = tiny_setup
+        loss1, _ = T.loss_and_gradients(sents, params, toy_table, config, vocab, labels)
+        loss2, _ = T.loss_and_gradients(sents + sents, params, toy_table, config, vocab, labels)
         assert loss1 == pytest.approx(loss2, abs=1e-12)
 
     def test_empty_batch_rejected(self, labels, toy_table, tiny_setup):
-        config, _, vocab, net, crf = tiny_setup
+        config, _, vocab, params = tiny_setup
         with pytest.raises(ValidationError):
-            T.loss_and_gradients([], net, crf, toy_table, config, vocab, labels)
+            T.loss_and_gradients([], params, toy_table, config, vocab, labels)
 
     def test_finite_differences_spot_check(self, labels, toy_table, tiny_setup):
-        config, sents, vocab, net, crf = tiny_setup
-        _, grads = T.loss_and_gradients(sents, net, crf, toy_table, config, vocab, labels)
+        config, sents, vocab, params = tiny_setup
+        _, grads = T.loss_and_gradients(sents, params, toy_table, config, vocab, labels)
         eps = 1e-4
-        params = dict(T.all_param_items(net, crf))
         rng = np.random.default_rng(1)
         for name in ("lstm_fw.wx", "conv_filters", "crf.transitions", "proj_weights"):
             arr = params[name]
@@ -111,9 +111,9 @@ class TestLossAndGradients:
             ix = np.unravel_index(flat_i, arr.shape)
             orig = arr[ix]
             arr[ix] = orig + eps
-            lp, _ = T.loss_and_gradients(sents, net, crf, toy_table, config, vocab, labels)
+            lp, _ = T.loss_and_gradients(sents, params, toy_table, config, vocab, labels)
             arr[ix] = orig - eps
-            lm, _ = T.loss_and_gradients(sents, net, crf, toy_table, config, vocab, labels)
+            lm, _ = T.loss_and_gradients(sents, params, toy_table, config, vocab, labels)
             arr[ix] = orig
             fd = (lp - lm) / (2 * eps)
             denom = max(abs(fd), abs(grads[name][ix]), 1e-4)
@@ -121,7 +121,7 @@ class TestLossAndGradients:
 
 
     def test_one_network_forward_and_backward_per_batch(self, labels, toy_table, tiny_setup, monkeypatch):
-        config, sents, vocab, net, crf = tiny_setup
+        config, sents, vocab, params = tiny_setup
         calls = {"emissions_forward": 0, "emissions_backward": 0}
         for name in calls:
             real = getattr(N, name)
@@ -131,7 +131,7 @@ class TestLossAndGradients:
                 return _real(*args, **kw)
 
             monkeypatch.setattr(N, name, counting)
-        T.loss_and_gradients(sents, net, crf, toy_table, config, vocab, labels, seed=5)
+        T.loss_and_gradients(sents, params, toy_table, config, vocab, labels, seed=5)
         assert len(sents) == 3 and calls == {"emissions_forward": 1, "emissions_backward": 1}
 
 
@@ -269,9 +269,9 @@ class TestTrain:
         trained_on, checkpoints = [], []
         real_loss, real_make = T.loss_and_gradients, T.make_checkpoint
 
-        def recording_loss(batch, net, crf, table, *args, **kw):
+        def recording_loss(batch, params, table, *args, **kw):
             trained_on.append(table)
-            return real_loss(batch, net, crf, table, *args, **kw)
+            return real_loss(batch, params, table, *args, **kw)
 
         def recording_make(*args, **kw):
             checkpoints.append(real_make(*args, **kw))
@@ -295,9 +295,9 @@ class TestTrain:
         config = small_net_config(labels)
         rng = np.random.default_rng(0)
         vocab = CharVocab(("a",))
-        net = N.init_network_params(config, len(vocab), rng)
-        crf = T.init_crf_params(labels.num_tags, rng)
-        assert T.make_checkpoint(net, crf, config, labels, vocab, table).embeddings is table
+        params = N.init_network_params(config, len(vocab), rng)
+        params.update(C.init_params(labels.num_tags, rng))
+        assert T.make_checkpoint(params, config, labels, vocab, table).embeddings is table
 
     def test_empty_train_set_rejected(self, toy_table, labels):
         config = small_net_config(labels)
@@ -381,8 +381,7 @@ class TestTrainingPrecision:
         monkeypatch.setattr(T.AdamState, "update", spy)
         config = small_net_config(labels, dropout_rate=0.5)
         result = T.train(toy_corpus, [], toy_table, config, T.TrainConfig(epochs=1, seed=3), labels)
-        assert seen and list(seen[0]) == [name for name, _ in T.all_param_items(result.checkpoint.network,
-                                                                               result.checkpoint.crf)]
+        assert seen and list(seen[0]) == list(result.checkpoint.params)
         for step in seen:
             for name, dtypes in step.items():
                 assert dtypes == {np.dtype(np.float64 if name.startswith("crf.") else np.float32)}, name
@@ -404,12 +403,12 @@ class TestTrainingPrecision:
             batch.append(Sentence(tuple(Token(words[int(rng.integers(300))], tag) for tag in tags)))
         vocab = build_char_vocab([Document("d", tuple(batch))])
         drawn = N.init_network_params(config, len(vocab), rng)
-        crf = T.init_crf_params(config.num_tags, rng)
+        crf = C.init_params(config.num_tags, rng)
         net32 = {k: v.astype(np.float32) for k, v in drawn.items()}
         net64 = {k: v.astype(np.float64) for k, v in net32.items()}  # the same values, in float64
         for seed in (None, 7):
-            loss32, grads32 = T.loss_and_gradients(batch, net32, crf, table, config, vocab, labels, seed=seed)
-            loss64, grads64 = T.loss_and_gradients(batch, net64, crf, table, config, vocab, labels, seed=seed)
+            loss32, grads32 = T.loss_and_gradients(batch, {**net32, **crf}, table, config, vocab, labels, seed=seed)
+            loss64, grads64 = T.loss_and_gradients(batch, {**net64, **crf}, table, config, vocab, labels, seed=seed)
             assert loss32 == pytest.approx(loss64, rel=1e-7)
             for name, ref in grads64.items():
                 # Measured: at most about 4e-7 of the largest entry for the network
@@ -429,7 +428,7 @@ class TestTrainingPrecision:
         for dtype in (np.float32, np.float64):
             monkeypatch.setattr(T, "NETWORK_DTYPE", dtype)
             result = T.train(train_docs, dev_docs, table, config, tc, labels)
-            assert result.checkpoint.network["lstm_fw.wx"].dtype == np.float32
+            assert result.checkpoint.params["lstm_fw.wx"].dtype == np.float32
             f1[dtype] = result.history[-1].dev_f1
         # Both reach 0.9346 on this corpus; an untrained model scores about 0.
         assert f1[np.float32] >= 0.90
@@ -486,7 +485,7 @@ class TestCheckpoint:
         assert loaded.embeddings.matrix.dtype == np.float32
         assert loaded.embeddings.words == toy_table.words
         assert np.array_equal(loaded.embeddings.matrix, toy_table.matrix)
-        tensors = [arr for _, arr in T.all_param_items(loaded.network, loaded.crf)]
+        tensors = list(loaded.params.values())
         for arr in [*tensors, loaded.embeddings.matrix, loaded.embeddings.unk_vector]:
             assert arr.dtype == np.float32 and arr.flags.aligned and arr.flags.c_contiguous
             assert not arr.flags.owndata  # a view of the one payload buffer, not a copy
@@ -498,12 +497,11 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         T.save_checkpoint(ckpt, path)
         loaded = T.load_checkpoint(path)
-        for (name, arr), (_, again) in zip(T.all_param_items(ckpt.network, ckpt.crf),
-                                           T.all_param_items(loaded.network, loaded.crf)):
+        for (name, arr), (_, again) in zip(ckpt.params.items(), loaded.params.items()):
             assert arr.dtype == np.float32 and np.array_equal(arr, again), name
         texts = [t for d in toy_corpus for s in d.sentences for t in s.texts]
         lengths = [len(s) for d in toy_corpus for s in d.sentences]
-        emis = [N.emissions_forward(texts, lengths, c.embeddings, c.network, c.config, c.char_vocab)[0]
+        emis = [N.emissions_forward(texts, lengths, c.embeddings, c.params, c.config, c.char_vocab)[0]
                 for c in (ckpt, loaded)]
         assert emis[0].dtype == np.float32 and np.array_equal(emis[0], emis[1])
         tags = [[s.tags for d in T.predict_documents(c, toy_corpus) for s in d.sentences] for c in (ckpt, loaded)]

@@ -17,6 +17,7 @@ and the same table.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -166,9 +167,17 @@ def make_checkpoint(params, config, labels, vocab, table, metadata=None) -> Chec
     return Checkpoint(weights, config, labels, vocab, table, metadata=dict(metadata or {}))
 
 
+def _layout(config: net_mod.NetworkConfig, vocab: CharVocab, words) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every tensor of a checkpoint file, in payload order:
+    the network's, the CRF's, then the embedding table's."""
+    return [*net_mod.param_shapes(config, len(vocab)), *crf_mod.param_shapes(config.num_tags),
+            ("embeddings.matrix", (len(words), config.word_dim)), ("embeddings.unk", (config.word_dim,))]
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
-    tensors = [*ckpt.params.items(), ("embeddings.matrix", ckpt.embeddings.matrix),
-               ("embeddings.unk", ckpt.embeddings.unk_vector)]
+    """Write the header, then every tensor in layout order, each listed with its actual shape."""
+    arrays = {**ckpt.params, "embeddings.matrix": ckpt.embeddings.matrix, "embeddings.unk": ckpt.embeddings.unk_vector}
+    tensors = [(name, arrays[name]) for name, _ in _layout(ckpt.config, ckpt.char_vocab, ckpt.embeddings.words)]
 
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -194,19 +203,16 @@ def _header_field(header: dict, key: str, kind: type):
     return value
 
 
-def _tensor_spec(entry) -> tuple[str, tuple[int, ...]]:
-    name, shape = entry
-    if not isinstance(shape, list) or not all(type(n) is int for n in shape):
-        raise IntegrityError(f"tensor {name!r}: shape {shape!r} is not a list of integers")
-    return str(name), tuple(shape)
-
-
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint, checking each tensor's shape against its stored config.
+    """Read a checkpoint whose tensor listing is its config's layout.
 
-    The header is parsed and checked, the payload size included, before the
-    payload is read. The payload is read into one aligned float32 buffer, and
-    every tensor, the embedding table included, is a view of it.
+    The header is parsed and checked before the payload is read. Its
+    `tensors` list must equal the layout the stored config declares, entry by
+    entry and as JSON text, so a tensor of another name, shape or place, or a
+    dimension such as 30.0 or true, is refused, naming the first entry that
+    differs; then the payload size is checked. The payload is read into one
+    aligned float32 buffer, and every tensor, the embedding table included,
+    is a view of it.
     """
     with open(path, "rb") as f:
         if f.read(1) != b"{":  # so a file of another kind is not read to its first newline
@@ -227,7 +233,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise UnsupportedVersionError(version, CHECKPOINT_VERSION)
 
     try:
-        specs = [_tensor_spec(entry) for entry in _header_field(header, "tensors", list)]
         config = net_mod.NetworkConfig(**_header_field(header, "config", dict))
         labels = LabelSet(tuple(_header_field(header, "labels", list)))
         vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
@@ -239,18 +244,13 @@ def load_checkpoint(path) -> Checkpoint:
     if _header_field(header, "embedding_dim", int) != config.word_dim:
         raise IntegrityError("embedding_dim does not match the stored word_dim")
 
-    param_shapes = net_mod.param_shapes(config, len(vocab)) + crf_mod.param_shapes(config.num_tags)
-    table_shapes = [("embeddings.matrix", (len(words), config.word_dim)), ("embeddings.unk", (config.word_dim,))]
-    names = [name for name, _ in specs]
-    for name in names:
-        if names.count(name) > 1:
-            raise IntegrityError(f"tensor {name!r} is listed {names.count(name)} times in the checkpoint")
-    declared, stored = dict(param_shapes + table_shapes), dict(specs)
-    for name in [*declared, *stored]:
-        if stored.get(name) != declared.get(name):
-            got, want = stored.get(name, "missing"), declared.get(name, "unknown")
-            raise IntegrityError(f"tensor {name!r}: shape {got} in the checkpoint, {want} in its config")
-    sizes = [int(np.prod(shape)) for _, shape in specs]
+    layout = _layout(config, vocab, words)
+    listed = [json.dumps(entry) for entry in _header_field(header, "tensors", list)]
+    declared = [json.dumps([name, list(shape)]) for name, shape in layout]
+    for got, want in itertools.zip_longest(listed, declared, fillvalue="no tensor"):
+        if got != want:
+            raise IntegrityError(f"the checkpoint lists {got} where its config declares {want}")
+    sizes = [math.prod(shape) for _, shape in layout]
     expected = sum(sizes) * 4
     if payload_bytes != expected:
         raise IntegrityError(f"checkpoint payload has {payload_bytes} bytes, expected {expected}")
@@ -259,29 +259,26 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"checkpoint payload changed size while it was read: {payload.nbytes} bytes")
 
     offsets = np.cumsum([0, *sizes])
-    arrays = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(specs, offsets, offsets[1:])}
-    params = {name: arrays[name] for name, _ in param_shapes}
+    params = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(layout, offsets, offsets[1:])}
+    matrix, unk = params.pop("embeddings.matrix"), params.pop("embeddings.unk")
     # The embedding table is left to emissions_forward, which checks the rows a text uses.
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise IntegrityError(f"tensor {name!r} holds NaN or Inf values")
-    table = EmbeddingTable(words, arrays["embeddings.matrix"], arrays["embeddings.unk"])
+    table = EmbeddingTable(words, matrix, unk)
     return Checkpoint(params, config, labels, vocab, table, metadata=_header_field(header, "metadata", dict))
 
 
-def _chunks(n: int) -> list[slice]:
-    """Slices that cut n tokens into pieces the network accepts; warns if it cuts."""
-    limit = net_mod.MAX_SENTENCE_LEN
-    if n > limit:
-        warnings.warn(f"splitting a {n}-token sentence at the {limit}-token boundary")
-    return [slice(i, i + limit) for i in range(0, n, limit)]
-
-
 def _split_long(sent: Sentence) -> list[Sentence]:
+    """[sent], or, with a warning, its pieces of at most MAX_SENTENCE_LEN tokens."""
+    limit = net_mod.MAX_SENTENCE_LEN
+    if len(sent) <= limit:
+        return [sent]
+    warnings.warn(f"splitting a {len(sent)}-token sentence at the {limit}-token boundary")
     out = []
-    for piece in _chunks(len(sent)):
-        toks = list(sent.tokens[piece])
-        # A chunk may not begin mid-entity; promote a leading I- to B-.
+    for i in range(0, len(sent), limit):
+        toks = list(sent.tokens[i:i + limit])
+        # A piece may not begin mid-entity; promote a leading I- to B-.
         if toks[0].tag.startswith("I-"):
             toks[0] = Token(toks[0].text, "B-" + toks[0].tag[2:])
         out.append(Sentence(tuple(toks)))
@@ -299,7 +296,7 @@ def predict_documents(ckpt: Checkpoint, docs: list[Document]) -> list[Document]:
     """
     decode_crf = crf_mod.masked(ckpt.params, ckpt.label_set)
     tag_names = ckpt.label_set.tags
-    chunks = [sent.texts[piece] for doc in docs for sent in doc.sentences for piece in _chunks(len(sent))]
+    chunks = [piece.texts for doc in docs for sent in doc.sentences for piece in _split_long(sent)]
     limit = net_mod.MAX_SENTENCE_LEN
     groups, size = [], limit  # a full group: the first chunk opens a new one
     for chunk in chunks:
@@ -385,39 +382,33 @@ def train(
     history: list[EpochRecord] = []
     best_f1 = -1.0
     best_ckpt = None
-    loss = float("nan")
 
     for epoch in range(1, train_config.epochs + 1):
         order = shuffle_rng.permutation(len(sentences))
-        losses, counts = [], []
+        total = 0.0
         for b_start in range(0, len(sentences), train_config.batch_size):
             batch = [sentences[i] for i in order[b_start: b_start + train_config.batch_size]]
-            seed = (train_config.seed * 1_000_003 + epoch * 1_009 + b_start) & 0x7FFFFFFF
-            dropout_seed = seed if train_config.dropout_rate > 0 else None
+            seed = train_config.seed * 1_000_003 + epoch * 1_009 + b_start
             try:
-                loss, grads = loss_and_gradients(batch, params, table, net_config, vocab, labels, seed=dropout_seed)
+                loss, grads = loss_and_gradients(batch, params, table, net_config, vocab, labels, seed=seed)
                 clip_gradients(grads)
             except NumericError as e:
                 batch_no = b_start // train_config.batch_size + 1
                 raise NumericError(f"epoch {epoch}, batch {batch_no}: {e}") from e
             adam.update(params, grads, train_config)
-            losses.append(loss * len(batch))
-            counts.append(len(batch))
-        epoch_loss = float(sum(losses) / sum(counts))
+            total += loss * len(batch)
+        epoch_loss = float(total / len(sentences))
 
-        record = EpochRecord(epoch=epoch, loss=epoch_loss)
+        p = r = f1 = None
         if dev_docs:
             ckpt = make_checkpoint(
                 params, net_config, labels, vocab, table,
                 metadata={"seed": train_config.seed, "epochs_completed": epoch, "final_loss": epoch_loss},
             )
-            pred = predict_documents(ckpt, dev_docs)
-            report = evaluate(dev_docs, pred, labels)
-            p, r, f1 = report.micro
-            record = EpochRecord(epoch=epoch, loss=epoch_loss, dev_precision=p, dev_recall=r, dev_f1=f1)
+            p, r, f1 = evaluate(dev_docs, predict_documents(ckpt, dev_docs), labels).micro
             if f1 > best_f1:
                 best_f1, best_ckpt = f1, ckpt
-        history.append(record)
+        history.append(EpochRecord(epoch, epoch_loss, p, r, f1))
 
     final = make_checkpoint(
         params, net_config, labels, vocab, table,

@@ -35,16 +35,26 @@ def _cut_crf_to_five_tags(header, tensors):
         tensors[name] = tensors[name][(slice(5),) * tensors[name].ndim]
 
 
-def _fractional_dimension(header, tensors):
-    listing = _listing(tensors)
-    next(e for e in listing if e[0] == "conv_bias")[1][0] += 0.9  # int() would truncate it to the right size
-    return listing
+def _conv_bias_dimension(change):
+    def edit(header, tensors):
+        listing = _listing(tensors)
+        shape = next(e for e in listing if e[0] == "conv_bias")[1]
+        shape[0] = change(shape[0])
+        return listing
+    return edit
 
 
 def _listed_twice(header, tensors):
     listing = _listing(tensors)
     i = next(i for i, e in enumerate(listing) if e[0] == "conv_bias")
     listing.insert(i, listing[i])
+    return listing
+
+
+def _swapped_with_the_next(header, tensors):
+    listing = _listing(tensors)
+    i = next(i for i, e in enumerate(listing) if e[0] == "conv_bias")
+    listing[i:i + 2] = listing[i + 1], listing[i]  # write_checkpoint swaps their payload too
     return listing
 
 
@@ -59,8 +69,11 @@ DAMAGED = {
     "two-labels": (lambda h, t: h.update({"labels": h["labels"][:2]}), "2 labels make 5 tags"),
     "missing-tensor": (lambda h, t: t.__delitem__("conv_bias"), "conv_bias"),
     "unknown-tensor": (lambda h, t: t.update({"attention.wq": np.zeros(2)}), "attention.wq"),
-    "fractional-dimension": (_fractional_dimension, "conv_bias"),
+    # int() would truncate the first to the right size, and the second equals it under ==.
+    "fractional-dimension": (_conv_bias_dimension(lambda n: n + 0.9), "conv_bias"),
+    "whole-float-dimension": (_conv_bias_dimension(float), "conv_bias"),
     "tensor-listed-twice": (_listed_twice, "conv_bias"),
+    "tensors-reordered": (_swapped_with_the_next, "conv_bias"),
 }
 
 

@@ -409,6 +409,60 @@ def test_predict_and_eval_with_any_bytes_give_a_result_or_one_error_line(data, c
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+_JSON_VALUE = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3)
+               | st.lists(st.integers(0, 3), max_size=2)
+               | st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+_DIMENSIONS = st.lists(st.integers(0, 12) | st.sampled_from([1.0, 4.0, True]), max_size=3)
+_HEADER_EDITS = ["delete", "retype", "rename", "redimension", "drop", "duplicate", "swap"]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_predict_and_eval_with_a_mutated_checkpoint_header_give_a_result_or_one_error_line(data, model_path,
+                                                                                          data_dir, tmp_path):
+    # One to three edits of the toy model's header: a field of it or of its
+    # config deleted or retyped, or a tensor entry renamed, re-dimensioned,
+    # dropped, duplicated or swapped with another (its payload moves with it).
+    header, tensors = read_checkpoint(model_path)
+    listing = header["tensors"]
+    for edit in data.draw(st.lists(st.sampled_from(_HEADER_EDITS), min_size=1, max_size=3)):
+        i, j = (data.draw(st.integers(0, len(listing) - 1)) for _ in range(2))
+        if edit in ("delete", "retype"):
+            owner = data.draw(st.sampled_from([header, header.get("config")]))
+            if not isinstance(owner, dict):  # the config was deleted or retyped
+                continue
+            key = data.draw(st.sampled_from(sorted(owner.keys() - {"tensors"})))
+            if edit == "delete":
+                del owner[key]
+            else:
+                owner[key] = data.draw(_JSON_VALUE)
+        elif edit == "rename":
+            name = data.draw(st.sampled_from([*tensors, "attention.wq", ""]))
+            tensors.setdefault(name, tensors[listing[i][0]])
+            listing[i] = [name, listing[i][1]]
+        elif edit == "redimension":
+            listing[i] = [listing[i][0], data.draw(_DIMENSIONS)]
+        elif edit == "drop":
+            del listing[i]
+        elif edit == "duplicate":
+            listing.insert(i, listing[i])
+        elif edit == "swap":
+            listing[i], listing[j] = listing[j], listing[i]
+    bad, out = tmp_path / "bad.ckpt", tmp_path / "out.conll"
+    write_checkpoint(bad, header, tensors, listing)
+    corpus = str(data_dir / "toy_corpus.conll")
+    for argv in (["predict", "--input", corpus, "--out", str(out)], ["eval", "--corpus", corpus]):
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--model", str(bad)])
+        err = err.getvalue()
+        if rc == 0:
+            assert err == ""
+        else:
+            assert rc == 1
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 # Each example is a valid config that sets every size small, so that no
 # example builds a large network or trains for long, perhaps with one bad
 # entry: a value out of range or of the wrong type, an unknown key or a key

@@ -74,24 +74,26 @@ class TestParams:
             return real_update(adam, params, grads, cfg)
 
         monkeypatch.setattr(training.AdamState, "update", spy)
-        tc = training.TrainConfig(epochs=2, batch_size=1, seed=4)
-        ckpt = training.train(docs, [], table, config, tc, labels).checkpoint
-        training.save_checkpoint(ckpt, tmp_path / "model.ckpt")
-        loaded = training.load_checkpoint(tmp_path / "model.ckpt")
-        declared = N.param_shapes(config, len(ckpt.char_vocab)) + C.param_shapes(config.num_tags)
-        names = [name for name, _ in declared]
-        params = N.init_network_params(config, len(ckpt.char_vocab), np.random.default_rng(0))
-        params.update(C.init_params(config.num_tags, np.random.default_rng(1)))
-        assert [(name, arr.shape) for name, arr in params.items()] == declared
-        assert len(steps) == 4
-        for step in steps:  # the weights, their gradients and both Adam moments, while training
-            for dtypes in step:
-                assert list(dtypes) == names
-                for name, dtype in dtypes.items():
-                    assert dtype == (np.float64 if name.startswith("crf.") else np.float32), name
-        for weights in (ckpt.params, loaded.params):
-            assert [(name, arr.shape) for name, arr in weights.items()] == declared
-            assert {arr.dtype for arr in weights.values()} == {np.dtype(np.float32)}
+        for batch_size in (1, 2):  # two epochs of two sentences, one or two at a time, with dropout on
+            steps.clear()
+            tc = training.TrainConfig(epochs=2, batch_size=batch_size, dropout_rate=0.5, seed=4)
+            ckpt = training.train(docs, [], table, config, tc, labels).checkpoint
+            training.save_checkpoint(ckpt, tmp_path / "model.ckpt")
+            loaded = training.load_checkpoint(tmp_path / "model.ckpt")
+            declared = N.param_shapes(config, len(ckpt.char_vocab)) + C.param_shapes(config.num_tags)
+            names = [name for name, _ in declared]
+            params = N.init_network_params(config, len(ckpt.char_vocab), np.random.default_rng(0))
+            params.update(C.init_params(config.num_tags, np.random.default_rng(1)))
+            assert [(name, arr.shape) for name, arr in params.items()] == declared
+            assert len(steps) == 4 // batch_size
+            for step in steps:  # the weights, their gradients and both Adam moments, while training
+                for dtypes in step:
+                    assert list(dtypes) == names
+                    for name, dtype in dtypes.items():
+                        assert dtype == (np.float64 if name.startswith("crf.") else np.float32), name
+            for weights in (ckpt.params, loaded.params):
+                assert [(name, arr.shape) for name, arr in weights.items()] == declared
+                assert {arr.dtype for arr in weights.values()} == {np.dtype(np.float32)}
 
 
 class TestCharFeatures:

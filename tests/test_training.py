@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -368,24 +369,6 @@ def learnable_corpus(seed, train_tokens, dev_tokens, dim=16):
 class TestTrainingPrecision:
     """The network trains in float32 and the CRF in float64."""
 
-    def test_network_tensors_update_in_float32_and_crf_tensors_in_float64(self, toy_corpus, toy_table, labels,
-                                                                          monkeypatch):
-        seen = []
-        real_update = T.AdamState.update
-
-        def spy(adam, params, grads, cfg):
-            seen.append({name: {p.dtype, grads[name].dtype, adam.first_moment[name].dtype,
-                                adam.second_moment[name].dtype} for name, p in params.items()})
-            return real_update(adam, params, grads, cfg)
-
-        monkeypatch.setattr(T.AdamState, "update", spy)
-        config = small_net_config(labels, dropout_rate=0.5)
-        result = T.train(toy_corpus, [], toy_table, config, T.TrainConfig(epochs=1, seed=3), labels)
-        assert seen and list(seen[0]) == list(result.checkpoint.params)
-        for step in seen:
-            for name, dtypes in step.items():
-                assert dtypes == {np.dtype(np.float64 if name.startswith("crf.") else np.float32)}, name
-
     def test_float32_gradients_match_float64_on_a_paper_size_batch(self):
         rng = np.random.default_rng(11)
         labels = LabelSet()
@@ -634,6 +617,31 @@ class TestCheckpoint:
         T.save_checkpoint(result.checkpoint, p1)
         T.save_checkpoint(result.checkpoint, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_writes_the_layout_order_whatever_the_order_of_params(self, trained, tmp_path):
+        _, result = trained
+        ckpt = result.checkpoint
+        reversed_params = dataclasses.replace(ckpt, params=dict(reversed(ckpt.params.items())))
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        T.save_checkpoint(ckpt, p1)
+        T.save_checkpoint(reversed_params, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_boolean_dimension_is_refused_where_the_declared_one_is_1(self, labels, tmp_path):
+        config = small_net_config(labels, char_filter_count=1)  # conv_bias has shape (1,), and True == 1
+        rng = np.random.default_rng(0)
+        vocab = CharVocab(("a",))
+        params = N.init_network_params(config, len(vocab), rng)
+        params.update(C.init_params(labels.num_tags, rng))
+        table = EmbeddingTable(("fever",), rng.normal(size=(1, config.word_dim)))
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(T.make_checkpoint(params, config, labels, vocab, table), path)
+        header, tensors = read_checkpoint(path)
+        assert header["tensors"][2] == ["conv_bias", [1]]
+        header["tensors"][2][1] = [True]
+        write_checkpoint(path, header, tensors, header["tensors"])
+        with pytest.raises(IntegrityError, match="conv_bias"):
+            T.load_checkpoint(path)
 
 
 class TestPredict:

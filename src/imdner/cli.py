@@ -56,7 +56,7 @@ def _split_config(overrides: dict):
 def cmd_train(args) -> int:
     try:
         overrides = json.loads(_read(args.config)) if args.config else {}
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, or nested too deep
         raise ConfigError(f"{args.config}: not a valid JSON file: {e}") from None
     train_kw, net_kw = _split_config(overrides)
     train_kw.setdefault("seed", args.seed)

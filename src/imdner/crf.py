@@ -57,13 +57,14 @@ def _logsumexp(a, axis=None):
 
 
 def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tags):
-    """nll value plus its analytic gradients w.r.t. emissions and CRF params.
+    """(nll, d/d emissions, d/d transitions), every result float64.
 
     nll = log Z - gold path score, log Z summing exp(score) over all paths
     d/d emissions = marginals - onehot(gold)
     d/d transitions = expected pairwise counts - observed counts
+    d/d start and d/d end are the first and last rows of d/d emissions.
 
-    The emissions are upcast to float64, so every result is float64.
+    The emissions are upcast to float64 on entry.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     trans, start, end = params["crf.transitions"], params["crf.start"], params["crf.end"]
@@ -80,8 +81,7 @@ def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tag
     log_z = _logsumexp(alpha[-1] + end)
     value = float(log_z) - path_score(emissions, params, gold)
 
-    marg = np.exp(alpha + beta - log_z)
-    d_emis = marg.copy()
+    d_emis = np.exp(alpha + beta - log_z)  # the marginals
     d_emis[np.arange(T), gold] -= 1.0
 
     # Expected pairwise counts of all T-1 transitions at once: (T-1, K, K).
@@ -93,12 +93,7 @@ def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tag
     )
     d_trans = pair.sum(axis=0)
     np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
-
-    d_start = marg[0].copy()
-    d_start[gold[0]] -= 1.0
-    d_end = marg[-1].copy()
-    d_end[gold[-1]] -= 1.0
-    return value, d_emis, d_trans, d_start, d_end
+    return value, d_emis, d_trans
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the path score is checked

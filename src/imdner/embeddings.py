@@ -17,13 +17,14 @@ class EmbeddingTable:
     Row i of `matrix`, a (len(words), dim) float32 array, is the vector of
     words[i]. Values given in another dtype are stored as their float32
     rounding, so a checkpoint holds the table exactly as it is used.
-    Lookup order: exact match, then lowercased match, then the unk vector.
-    Vectors are never trained; the unk vector is the zero vector.
+    Lookup order: exact match, then lowercased match, then unk_vector, a
+    float32 zero vector that is not a constructor argument and that no
+    checkpoint stores. Vectors are never trained.
     """
 
     words: tuple[str, ...]
     matrix: np.ndarray
-    unk_vector: np.ndarray = None
+    unk_vector: np.ndarray = field(init=False)
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -32,9 +33,7 @@ class EmbeddingTable:
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.words):
             raise ValidationError(f"matrix of shape {self.matrix.shape} does not hold {len(self.words)} word vectors")
         self.index = {w: i for i, w in enumerate(self.words)}
-        self.unk_vector = np.asarray(np.zeros(self.dim) if self.unk_vector is None else self.unk_vector, np.float32)
-        if self.unk_vector.shape != (self.dim,):
-            raise ValidationError(f"unk vector has shape {self.unk_vector.shape}, expected ({self.dim},)")
+        self.unk_vector = np.zeros(self.dim, np.float32)
 
     @property
     def dim(self) -> int:

@@ -33,7 +33,7 @@ from .embeddings import CharVocab, EmbeddingTable, build_char_vocab
 from .errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError, check_field_types
 from .evaluation import evaluate
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 GRAD_CLIP_NORM = 5.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -122,11 +122,13 @@ def loss_and_gradients(
     offsets = np.cumsum([0, *lengths])
     for sent, a, b in zip(batch, offsets, offsets[1:]):
         gold = [labels.tag_index(t) for t in sent.tags]
-        value, d_emis[a:b], d_trans, d_start, d_end = crf_mod.nll_gradients(emis[a:b], params, gold)
+        value, d, d_trans = crf_mod.nll_gradients(emis[a:b], params, gold)
+        d_emis[a:b] = d
         total += value
         grads["crf.transitions"] += scale * d_trans
-        grads["crf.start"] += scale * d_start
-        grads["crf.end"] += scale * d_end
+        # d/d start and d/d end are d's first and last rows, taken in float64, not from float32 d_emis.
+        grads["crf.start"] += scale * d[0]
+        grads["crf.end"] += scale * d[-1]
     d_emis *= scale
     net_mod.emissions_backward(d_emis, cache, params, config, grads)
     return total * scale, grads
@@ -169,14 +171,14 @@ def make_checkpoint(params, config, labels, vocab, table, metadata=None) -> Chec
 
 def _layout(config: net_mod.NetworkConfig, vocab: CharVocab, words) -> list[tuple[str, tuple[int, ...]]]:
     """Name and shape of every tensor of a checkpoint file, in payload order:
-    the network's, the CRF's, then the embedding table's."""
+    the network's, the CRF's, then the embedding matrix."""
     return [*net_mod.param_shapes(config, len(vocab)), *crf_mod.param_shapes(config.num_tags),
-            ("embeddings.matrix", (len(words), config.word_dim)), ("embeddings.unk", (config.word_dim,))]
+            ("embeddings.matrix", (len(words), config.word_dim))]
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
     """Write the header, then every tensor in layout order, each listed with its actual shape."""
-    arrays = {**ckpt.params, "embeddings.matrix": ckpt.embeddings.matrix, "embeddings.unk": ckpt.embeddings.unk_vector}
+    arrays = {**ckpt.params, "embeddings.matrix": ckpt.embeddings.matrix}
     tensors = [(name, arrays[name]) for name, _ in _layout(ckpt.config, ckpt.char_vocab, ckpt.embeddings.words)]
 
     header = {
@@ -185,7 +187,6 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "labels": list(ckpt.label_set.labels),
         "char_vocab": "".join(ckpt.char_vocab.chars),
         "embedding_words": list(ckpt.embeddings.words),
-        "embedding_dim": ckpt.embeddings.dim,
         "metadata": ckpt.metadata,
         "tensors": [[name, list(arr.shape)] for name, arr in tensors],
     }
@@ -223,7 +224,7 @@ def load_checkpoint(path) -> Checkpoint:
         payload_bytes = os.fstat(f.fileno()).st_size - payload_start
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:  # the last: nested too deep
         raise IntegrityError(f"unreadable checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise IntegrityError("checkpoint header is not a JSON object")
@@ -241,8 +242,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"inconsistent checkpoint: {e}") from e
     if labels.num_tags != config.num_tags:
         raise IntegrityError(f"{len(labels)} labels make {labels.num_tags} tags, but num_tags is {config.num_tags}")
-    if _header_field(header, "embedding_dim", int) != config.word_dim:
-        raise IntegrityError("embedding_dim does not match the stored word_dim")
 
     layout = _layout(config, vocab, words)
     listed = [json.dumps(entry) for entry in _header_field(header, "tensors", list)]
@@ -260,12 +259,12 @@ def load_checkpoint(path) -> Checkpoint:
 
     offsets = np.cumsum([0, *sizes])
     params = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(layout, offsets, offsets[1:])}
-    matrix, unk = params.pop("embeddings.matrix"), params.pop("embeddings.unk")
+    matrix = params.pop("embeddings.matrix")
     # The embedding table is left to emissions_forward, which checks the rows a text uses.
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise IntegrityError(f"tensor {name!r} holds NaN or Inf values")
-    table = EmbeddingTable(words, matrix, unk)
+    table = EmbeddingTable(words, matrix)
     return Checkpoint(params, config, labels, vocab, table, metadata=_header_field(header, "metadata", dict))
 
 
@@ -358,6 +357,11 @@ def train(
     train_config: TrainConfig,
     labels: LabelSet | None = None,
 ) -> TrainResult:
+    """Train on train_docs and return the last epoch's checkpoint, the best-dev one and the history.
+
+    With a dev set, every epoch is checkpointed and scored; without one, only
+    the last epoch is, and that one snapshot is both checkpoints.
+    """
     labels = labels or LabelSet()
     if not train_docs:
         raise ValidationError("empty training set")
@@ -400,21 +404,18 @@ def train(
         epoch_loss = float(total / len(sentences))
 
         p = r = f1 = None
-        if dev_docs:
+        if dev_docs or epoch == train_config.epochs:
             ckpt = make_checkpoint(
                 params, net_config, labels, vocab, table,
                 metadata={"seed": train_config.seed, "epochs_completed": epoch, "final_loss": epoch_loss},
             )
+        if dev_docs:
             p, r, f1 = evaluate(dev_docs, predict_documents(ckpt, dev_docs), labels).micro
             if f1 > best_f1:
                 best_f1, best_ckpt = f1, ckpt
         history.append(EpochRecord(epoch, epoch_loss, p, r, f1))
 
-    final = make_checkpoint(
-        params, net_config, labels, vocab, table,
-        metadata={"seed": train_config.seed, "epochs_completed": train_config.epochs, "final_loss": history[-1].loss},
-    )
-    return TrainResult(checkpoint=final, best_checkpoint=best_ckpt or final, history=history)
+    return TrainResult(checkpoint=ckpt, best_checkpoint=best_ckpt or ckpt, history=history)
 
 
 def format_history(history: list[EpochRecord]) -> str:

@@ -30,6 +30,15 @@ def write_checkpoint(path, header, tensors, listing=None):
     path.write_bytes(json.dumps({**header, "tensors": listing}).encode() + b"\n" + payload)
 
 
+def as_version_1(path):
+    """Rewrite the checkpoint at path in format version 1, which also stored
+    an `embedding_dim` header field and a zero `embeddings.unk` vector last."""
+    header, tensors = read_checkpoint(path)
+    dim = header["config"]["word_dim"]
+    write_checkpoint(path, {**header, "format_version": 1, "embedding_dim": dim},
+                     {**tensors, "embeddings.unk": np.zeros(dim)})
+
+
 def _cut_crf_to_five_tags(header, tensors):
     for name in ("crf.transitions", "crf.start", "crf.end"):
         tensors[name] = tensors[name][(slice(5),) * tensors[name].ndim]

@@ -15,7 +15,7 @@ import imdner
 from imdner import training
 from imdner.cli import main
 
-from checkpoint_files import DAMAGED, damage, read_checkpoint, write_checkpoint
+from checkpoint_files import DAMAGED, as_version_1, damage, read_checkpoint, write_checkpoint
 
 TINY_CONFIG = {
     "epochs": 2,
@@ -220,8 +220,14 @@ def _bad_input_case(case, data_dir, tmp_path):
              "--embeddings", str(data_dir / "test_embeddings.txt"), "--out", str(tmp_path / "m.ckpt")]
     bad = tmp_path / "bad"
     if case == "checkpoint-header-without-tensors":
-        bad.write_bytes(b'{"format_version": 1}\n')
+        bad.write_bytes(b'{"format_version": 2}\n')
         return ["eval", "--model", str(bad), "--corpus", str(data_dir / "toy_corpus.conll")]
+    if case == "checkpoint-header-nested-too-deep":  # deeper than Python's recursion limit
+        bad.write_bytes(b'{"format_version": 2, "tensors": [' + b"[" * 1200 + b"]" * 1200 + b"]}\n")
+        return ["eval", "--model", str(bad), "--corpus", str(data_dir / "toy_corpus.conll")]
+    if case == "config-nested-too-deep":
+        bad.write_text("[" * 5000 + "]" * 5000)
+        return train + ["--config", str(bad)]
     if case == "config-not-json":
         bad.write_text("{bad")
         return train + ["--config", str(bad)]
@@ -248,7 +254,7 @@ def _bad_input_case(case, data_dir, tmp_path):
 @pytest.mark.parametrize("case", [
     "checkpoint-header-without-tensors", "config-not-json", "config-value-of-wrong-type",
     "config-names-an-adam-constant", "corpus-not-utf8", "train-negative-seed", "split-negative-seed",
-    "config-network-too-large-for-memory",
+    "config-network-too-large-for-memory", "checkpoint-header-nested-too-deep", "config-nested-too-deep",
 ])
 def test_malformed_input_is_one_error_line_and_exit_1(case, data_dir, tmp_path, capsys):
     rc = main(_bad_input_case(case, data_dir, tmp_path))
@@ -289,6 +295,21 @@ def test_damaged_checkpoint_is_one_error_line_naming_it(case, command, model_pat
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:") and named in err, err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_a_version_1_checkpoint_is_one_error_line_naming_both_versions(command, model_path, data_dir, tmp_path,
+                                                                       capsys):
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(model_path.read_bytes())
+    as_version_1(old)
+    corpus = str(data_dir / "toy_corpus.conll")
+    if command == "predict":
+        rc = main(["predict", "--model", str(old), "--input", corpus, "--out", str(tmp_path / "out.conll")])
+    else:
+        rc = main(["eval", "--model", str(old), "--corpus", corpus])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: checkpoint format version 1 is not supported (this build reads version 2)\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "eval"])
@@ -525,6 +546,48 @@ def test_any_train_config_gives_a_result_or_one_error_line(config, data_dir, tmp
     err = err.getvalue()
     if rc == 0:
         assert err == "" and model.exists() and history.exists()
+    else:
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+# Embedding files that are mostly well formed, so that most examples train:
+# lines of one width, with words of the corpus in any case, numbers good and
+# bad, a count header, a BOM and blank or CR lines among them.
+_EMB_WORDS = [b"fever", b"Fever", b"SLE", b"pain", b"\xc3\xa9", b"\xff", b"\x00", b"-DOCSTART-", b""]
+_EMB_VALUES = [b"0.1", b"-2", b"1e-3", b"0", b"0.5", b"-0.25", b"3"] * 3 + [b"nan", b"-inf", b"1e39", b"x", b""]
+_EMB_OTHER_LINES = [b"", b"2 2", b"\r", b"\xef\xbb\xbf", b"fever\t0.1"]
+
+
+def _embedding_lines(dim):
+    line = st.builds(lambda word, values: b" ".join([word, *values]), st.sampled_from(_EMB_WORDS),
+                     st.lists(st.sampled_from(_EMB_VALUES), min_size=dim, max_size=dim))
+    return st.lists(line | st.sampled_from(_EMB_OTHER_LINES), max_size=6).map(b"\n".join)
+
+
+_EMBEDDING_BYTES = st.binary(max_size=200) | st.integers(1, 3).flatmap(_embedding_lines)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_EMBEDDING_BYTES)
+@example(data=b"fever 0.1 0.2\nrash 0.3 0.4\n")
+@example(data=b"\xef\xbb\xbf2 2\r\nFever 1 2\r\n")
+@example(data=b"fever nan\n")
+@example(data=b"fever 0.1\nrash 0.1 0.2\n")
+@example(data=b"")
+def test_any_embedding_bytes_give_a_result_or_one_error_line(data, data_dir, tmp_path):
+    emb, cfg, model = tmp_path / "emb.txt", tmp_path / "config.json", tmp_path / "m.ckpt"
+    emb.write_bytes(data)
+    cfg.write_text(json.dumps({"epochs": 1, "batch_size": 32, "lstm_hidden": 2, "char_embed_dim": 2,
+                               "char_filter_count": 2}))
+    model.unlink(missing_ok=True)  # tmp_path is shared by every example
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        rc = main(["train", "--corpus", str(data_dir / "toy_corpus.conll"), "--embeddings", str(emb),
+                   "--config", str(cfg), "--out", str(model)])
+    err = err.getvalue()
+    if rc == 0:
+        assert err == "" and model.exists()
     else:
         assert rc == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err

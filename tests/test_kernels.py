@@ -237,11 +237,7 @@ def reference_nll_gradients(emissions, crf, gold):
         d_trans += np.exp(alpha[t][:, None] + crf["crf.transitions"] + (emissions[t + 1] + beta[t + 1])[None, :] - log_z)
     for t in range(1, T):
         d_trans[gold[t - 1], gold[t]] -= 1.0
-    d_start = marg[0].copy()
-    d_start[gold[0]] -= 1.0
-    d_end = marg[-1].copy()
-    d_end[gold[-1]] -= 1.0
-    return d_emis, d_trans, d_start, d_end
+    return d_emis, d_trans
 
 
 def _crf_instance(rng, T, K=25, scale=1e3):
@@ -263,8 +259,29 @@ def test_inline_logsumexp_matches_scipy(T, scale):
         assert value + path == pytest.approx(float(log_z), rel=RTOL)
         assert value == pytest.approx(float(log_z) - path, rel=RTOL)
         # got[0] is d nll / d emissions = marginals - onehot(gold).
-        for g, ref in zip(got, reference_nll_gradients(emis, params, gold)):
+        for g, ref in zip(got, reference_nll_gradients(emis, params, gold), strict=True):
             np.testing.assert_allclose(g, ref, rtol=RTOL, atol=1e-300)
+
+
+@pytest.mark.parametrize("T", [1, 2, 7])
+def test_first_and_last_emission_gradient_rows_are_the_start_and_end_gradients(T):
+    # nll_gradients returns no start or end gradient: training reads them
+    # from d_emis[0] and d_emis[-1], so check those against central differences.
+    rng = np.random.default_rng(100 + T)
+    emis, params = _crf_instance(rng, T, K=5, scale=1.0)
+    gold = list(rng.integers(0, 5, size=T))
+    _, d_emis, _ = C.nll_gradients(emis, params, gold)
+    h = 1e-6
+    for name, row in (("crf.start", d_emis[0]), ("crf.end", d_emis[-1])):
+        numeric = np.empty(5)
+        for k in range(5):
+            nll = []
+            for step in (h, -h):
+                moved = {**params, name: params[name].copy()}
+                moved[name][k] += step
+                nll.append(C.nll_gradients(emis, moved, gold)[0])
+            numeric[k] = (nll[0] - nll[1]) / (2 * h)
+        np.testing.assert_allclose(row, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 def test_nll_gradients_runs_float32_emissions_in_float64():
@@ -279,6 +296,6 @@ def test_nll_gradients_runs_float32_emissions_in_float64():
     value, *got = C.nll_gradients(emis, params, gold)
     ref_value, *ref = C.nll_gradients(emis.astype(np.float64), params, gold)
     assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-10)
-    for g, r in zip(got, ref):
+    for g, r in zip(got, ref, strict=True):
         assert g.dtype == np.float64
         np.testing.assert_allclose(g, r, rtol=1e-10, atol=1e-10)

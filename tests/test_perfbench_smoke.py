@@ -1,8 +1,12 @@
 """Smoke test: every benchmark workload runs end to end at toy sizes, and
 every op passes its output check. train-paper and tag-notes train, save, load
 and predict with a checkpoint; the three scoring workloads check their results
-against the errors planted in their inputs."""
+against the errors planted in their inputs. Also, every function the tracer
+wraps still exists in the package."""
 
+import functools
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,3 +27,18 @@ def test_toy_run_has_no_failed_ops(workload):
     assert result["attempted"] > 0
     assert result["failed"] == 0
     assert result["correct"] is True
+
+
+def test_every_traced_layer_is_an_attribute_of_the_package():
+    # The tracer counts a target it cannot find as trace.missing_layers and
+    # goes on, so a renamed or deleted function would otherwise go unnoticed.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, (module, attr, *_) in tracing.TARGETS.items():
+        try:
+            functools.reduce(getattr, attr.split("."), importlib.import_module(module))
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert tracing.TARGETS and missing == []

@@ -282,10 +282,25 @@ class TestTrain:
         monkeypatch.setattr(T, "make_checkpoint", recording_make)
         config = small_net_config(labels)
         result = T.train(toy_corpus, toy_corpus[:1], toy_table, config, T.TrainConfig(epochs=2, seed=5), labels)
-        assert len(checkpoints) == 3  # one per epoch for dev scoring, then the final one
+        assert len(checkpoints) == 2  # one per epoch for dev scoring; the last epoch's is the final one
         assert checkpoints[-1] is result.checkpoint and any(c is result.best_checkpoint for c in checkpoints)
         assert trained_on and all(table is toy_table for table in trained_on)
         assert all(ckpt.embeddings is toy_table for ckpt in checkpoints)
+
+    def test_without_a_dev_set_only_the_last_epoch_is_checkpointed(self, toy_corpus, toy_table, labels, monkeypatch):
+        checkpoints = []
+        real_make = T.make_checkpoint
+
+        def recording_make(*args, **kw):
+            checkpoints.append(real_make(*args, **kw))
+            return checkpoints[-1]
+
+        monkeypatch.setattr(T, "make_checkpoint", recording_make)
+        config = small_net_config(labels)
+        result = T.train(toy_corpus, [], toy_table, config, T.TrainConfig(epochs=3, seed=5), labels)
+        assert len(checkpoints) == 1
+        assert result.checkpoint is checkpoints[0] and result.best_checkpoint is checkpoints[0]
+        assert result.checkpoint.metadata == {"seed": 5, "epochs_completed": 3, "final_loss": result.history[-1].loss}
 
     def test_table_from_float64_values_holds_their_float32_rounding(self, labels):
         values = np.random.default_rng(0).normal(size=(3, 8))
@@ -455,9 +470,9 @@ class TestCheckpoint:
         T.save_checkpoint(result.checkpoint, path)
         data = path.read_bytes()
         head, _, rest = data.partition(b"\n")
-        head = head.replace(b'"format_version": 1', b'"format_version": 999')
+        head = head.replace(b'"format_version": 2', b'"format_version": 999')
         path.write_bytes(head + b"\n" + rest)
-        with pytest.raises(UnsupportedVersionError, match="999.*1"):
+        with pytest.raises(UnsupportedVersionError, match="999.*2"):
             T.load_checkpoint(path)
 
     def test_load_keeps_the_table_and_the_weights_float32_aligned_views(self, trained, toy_table, tmp_path):
@@ -469,7 +484,7 @@ class TestCheckpoint:
         assert loaded.embeddings.words == toy_table.words
         assert np.array_equal(loaded.embeddings.matrix, toy_table.matrix)
         tensors = list(loaded.params.values())
-        for arr in [*tensors, loaded.embeddings.matrix, loaded.embeddings.unk_vector]:
+        for arr in [*tensors, loaded.embeddings.matrix]:
             assert arr.dtype == np.float32 and arr.flags.aligned and arr.flags.c_contiguous
             assert not arr.flags.owndata  # a view of the one payload buffer, not a copy
         assert len({id(arr.base) for arr in tensors}) == 1
@@ -491,8 +506,8 @@ class TestCheckpoint:
         assert tags[0] == tags[1]
 
     def test_sorted_word_order_still_loads(self, trained, toy_table, tmp_path):
-        # Checkpoints written before the table kept its file order list the
-        # words sorted; the format is unchanged, so they read the same.
+        # Checkpoints written before the table kept its file order listed the
+        # words sorted; words and rows in another order still read the same.
         _, result = trained
         path = tmp_path / "model.ckpt"
         T.save_checkpoint(result.checkpoint, path)
@@ -503,9 +518,9 @@ class TestCheckpoint:
         assert order != list(range(len(words)))
         header["embedding_words"] = [words[i] for i in order]
         payload = np.frombuffer(blob, dtype="<f4")
-        start = len(payload) - (len(words) + 1) * toy_table.dim  # the matrix, then the unk vector
-        rows = payload[start:start + len(words) * toy_table.dim].reshape(len(words), -1)[order]
-        payload = np.concatenate([payload[:start], rows.ravel(), payload[start + rows.size:]])
+        start = len(payload) - len(words) * toy_table.dim  # the matrix ends the payload
+        rows = payload[start:].reshape(len(words), -1)[order]
+        payload = np.concatenate([payload[:start], rows.ravel()])
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload.astype("<f4").tobytes())
         loaded = T.load_checkpoint(path)
         for word in words:
@@ -522,8 +537,7 @@ class TestCheckpoint:
         pytest.param({"labels": "Symptom"}, id="labels-not-a-list"),
         pytest.param({"char_vocab": None}, id="no-char-vocab"),
         pytest.param({"embedding_words": None}, id="no-embedding-words"),
-        pytest.param({"embedding_dim": None}, id="no-embedding-dim"),
-        pytest.param({"embedding_dim": 9}, id="embedding-dim-not-the-matrix-width"),
+        pytest.param({"config": lambda config: {**config, "word_dim": 9}}, id="word-dim-not-the-matrix-width"),
         pytest.param({"metadata": None}, id="no-metadata"),
     ])
     def test_missing_or_ill_typed_header_key_is_an_integrity_error(self, trained, tmp_path, edit):
@@ -536,7 +550,7 @@ class TestCheckpoint:
             if value is None:
                 del header[key]
             else:
-                header[key] = value
+                header[key] = value(header[key]) if callable(value) else value
         path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
         with pytest.raises(IntegrityError):
             T.load_checkpoint(path)

@@ -44,6 +44,8 @@ def _split_config(overrides: dict):
     net_keys = {f.name for f in dc_fields(NetworkConfig)} - {"num_tags", "word_dim"}
     train_kw, net_kw = {}, {}
     for key, value in overrides.items():
+        if key == "seed":
+            raise ConfigError("the config may not set 'seed'; give it with --seed")
         if key in train_keys:
             train_kw[key] = value
         elif key in net_keys:
@@ -59,8 +61,7 @@ def cmd_train(args) -> int:
     except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, or nested too deep
         raise ConfigError(f"{args.config}: not a valid JSON file: {e}") from None
     train_kw, net_kw = _split_config(overrides)
-    train_kw.setdefault("seed", args.seed)
-    train_cfg = TrainConfig(**train_kw)
+    train_cfg = TrainConfig(**train_kw, seed=args.seed)
 
     labels = LabelSet()
     table = load_embeddings(_read(args.embeddings))

@@ -5,9 +5,9 @@ declares: crf.transitions[i, j] scores tag i -> tag j, crf.start and crf.end
 the first and last tag.
 
 The forward-backward is log-space float64: nll_gradients upcasts its
-emissions on entry, because in float32 a long sentence's marginals drift
-(about 1% of a marginal at 512 tokens). Viterbi runs in the dtype of its
-inputs, float32 when decoding from a checkpoint. Ties in Viterbi are broken
+emissions and the float32 CRF tensors on entry, because in float32 a long
+sentence's marginals drift (about 1% of a marginal at 512 tokens). Viterbi
+runs in the dtype of its inputs, float32 when decoding from a checkpoint. Ties in Viterbi are broken
 toward the lowest tag index at every backtracking step, so decoding is
 deterministic and directly comparable with exhaustive enumeration.
 """
@@ -64,10 +64,11 @@ def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tag
     d/d transitions = expected pairwise counts - observed counts
     d/d start and d/d end are the first and last rows of d/d emissions.
 
-    The emissions are upcast to float64 on entry.
+    The emissions and the CRF tensors are upcast to float64 on entry.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
-    trans, start, end = params["crf.transitions"], params["crf.start"], params["crf.end"]
+    crf = {n: np.asarray(params[n], dtype=np.float64) for n in ("crf.transitions", "crf.start", "crf.end")}
+    trans, start, end = crf.values()
     T = emissions.shape[0]
     gold = np.asarray(gold_tags)
     alpha = np.empty_like(emissions)
@@ -79,7 +80,7 @@ def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tag
     for t in range(T - 2, -1, -1):
         beta[t] = _logsumexp(trans + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
     log_z = _logsumexp(alpha[-1] + end)
-    value = float(log_z) - path_score(emissions, params, gold)
+    value = float(log_z) - path_score(emissions, crf, gold)
 
     d_emis = np.exp(alpha + beta - log_z)  # the marginals
     d_emis[np.arange(T), gold] -= 1.0

@@ -5,8 +5,8 @@ lengths, with emissions returned packed as (N, num_tags) for the N tokens in
 sentence order. Arithmetic, the dropout mask included, runs in the dtype of
 the parameters it is given: float32 in training and from a checkpoint, and
 float64 when a caller passes float64 weights, as the gradient checks do.
-Dropout applies only when a seed is supplied; sentence j's mask is drawn
-from [seed, j]. The forward pass caches every intermediate the manual
+Dropout applies only when a seed is supplied, one mask for the whole batch
+drawn from it. The forward pass caches every intermediate the manual
 backward pass needs.
 
 The weights are the model's one name -> tensor dict: param_shapes declares
@@ -105,8 +105,8 @@ def _sigmoid_inplace(x):
 
 
 def dropout_mask(shape, rate: float, seed, dtype=np.float64) -> np.ndarray:
-    """Inverted dropout mask in dtype: entries are 0 or 1/(1-rate), E[mask] == 1.
-    The uniform draws are float64 whatever the dtype."""
+    """Inverted dropout mask in dtype: entries are 0 or 1/(1-rate), E[mask] == 1. The uniform draws are
+    float64 from np.random.default_rng(seed): a Generator advances, an int gives the same mask each time."""
     rng = np.random.default_rng(seed)
     keep = 1.0 - rate
     mask = (rng.random(shape) < keep).astype(dtype)
@@ -278,8 +278,7 @@ def emissions_forward(
     given, their N tokens flat in token_texts, plus the backward cache.
 
     Dropout (inverted, scaled by 1/(1-rate)) is applied to the LSTM input
-    only when a dropout_seed is given, sentence j's mask seeded by
-    [dropout_seed, j].
+    only when a dropout_seed is given: one (N, In) mask for the batch.
     """
     lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
     if not len(lengths) or lengths.min() < 1:
@@ -297,9 +296,7 @@ def emissions_forward(
     check_finite(xs, "word vectors and char features")
     mask = None
     if dropout_seed is not None and config.dropout_rate > 0.0:
-        in_dim = xs.shape[1]
-        mask = np.concatenate([dropout_mask((n, in_dim), config.dropout_rate, [dropout_seed, j], xs.dtype)
-                               for j, n in enumerate(lengths)])
+        mask = dropout_mask(xs.shape, config.dropout_rate, dropout_seed, xs.dtype)
         xs *= mask
 
     hidden, lstm_cache = _bilstm_forward(xs, lengths, params, config.lstm_hidden)

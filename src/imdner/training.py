@@ -1,18 +1,17 @@
 """Supervised training: analytic gradients, Adam, checkpoints, prediction.
 
-The whole trajectory (init, shuffles, dropout masks) flows from one seed, so
-a repeated run produces a bitwise-identical checkpoint. The weights are one
-name -> tensor dict, the network's tensors and then the CRF's; gradients,
-Adam's moments and the checkpoint keep its names and order. The network
-trains in float32: its weights are drawn in float64 and cast once, so its
-gradients and Adam moments are float32 too. The CRF's stay float64, and
-crf.nll_gradients runs its forward-backward in float64 (Micikevicius et al.,
-arXiv:1710.03740: the heavy GEMMs in low precision, the precision-sensitive
-reductions in high). A checkpoint holds a float32 copy of every weight and
-the frozen float32 embedding table, so the on-disk float32 container is
-lossless and a checkpoint decodes in float32 whether it was just made or
-loaded from disk. Training, dev scoring and every checkpoint of a run use one
-and the same table.
+The whole trajectory (init, shuffles, dropout masks) flows from spawns of one
+SeedSequence, so a repeated run produces a bitwise-identical checkpoint. The
+weights are one name -> tensor dict, the network's tensors and then the
+CRF's; gradients, Adam's moments and the checkpoint keep its names and
+order. Every weight is drawn in float64 and cast once to WEIGHT_DTYPE,
+float32, so the gradients and Adam moments are float32 too; crf.nll_gradients
+still runs its forward-backward in float64 (Micikevicius et al.,
+arXiv:1710.03740: store in low precision, reduce in high). A checkpoint holds
+a float32 copy of every weight and the frozen float32 embedding table, so the
+on-disk float32 container is lossless and a checkpoint decodes in float32
+whether it was just made or loaded from disk. Training, dev scoring and every
+checkpoint of a run use one and the same table.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ GRAD_CLIP_NORM = 5.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-NETWORK_DTYPE = np.float32  # the network's training dtype; the CRF's is float64
+WEIGHT_DTYPE = np.float32  # the dtype every weight trains in
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,8 @@ def loss_and_gradients(
 
     The network runs once forward and once backward over the whole batch;
     the CRF runs per sentence on its rows. Dropout is active only when a
-    seed is given; per-sentence masks derive deterministically from (seed,
-    position in batch).
+    seed is given, anything np.random.default_rng takes: training's Generator
+    continues one stream of masks, and an int gives the same mask each call.
     """
     if not batch:
         raise ValidationError("empty batch")
@@ -116,20 +115,17 @@ def loss_and_gradients(
     total = 0.0
     texts = [t for sent in batch for t in sent.texts]
     lengths = [len(sent) for sent in batch]
-    dropout_seed = None if seed is None else int(seed) & 0x7FFFFFFF
-    emis, cache = net_mod.emissions_forward(texts, lengths, table, params, config, vocab, dropout_seed)
+    emis, cache = net_mod.emissions_forward(texts, lengths, table, params, config, vocab, seed)
     d_emis = np.empty_like(emis)
     offsets = np.cumsum([0, *lengths])
     for sent, a, b in zip(batch, offsets, offsets[1:]):
         gold = [labels.tag_index(t) for t in sent.tags]
-        value, d, d_trans = crf_mod.nll_gradients(emis[a:b], params, gold)
-        d_emis[a:b] = d
+        value, d_emis[a:b], d_trans = crf_mod.nll_gradients(emis[a:b], params, gold)
         total += value
         grads["crf.transitions"] += scale * d_trans
-        # d/d start and d/d end are d's first and last rows, taken in float64, not from float32 d_emis.
-        grads["crf.start"] += scale * d[0]
-        grads["crf.end"] += scale * d[-1]
     d_emis *= scale
+    grads["crf.start"] += d_emis[offsets[:-1]].sum(axis=0)
+    grads["crf.end"] += d_emis[offsets[1:] - 1].sum(axis=0)
     net_mod.emissions_backward(d_emis, cache, params, config, grads)
     return total * scale, grads
 
@@ -137,7 +133,8 @@ def loss_and_gradients(
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NORM):
     """Scale grads in place to a global L2 norm of at most max_norm; returns
     the norm before clipping. A NaN or Inf norm raises NumericError."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    # A Python float, so that the float32 scaling below is not buffered through float64.
+    total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if not np.isfinite(total):
         raise NumericError(f"non-finite gradient norm {total}")
     if total > max_norm:
@@ -159,8 +156,8 @@ class Checkpoint:
 
 def make_checkpoint(params, config, labels, vocab, table, metadata=None) -> Checkpoint:
     """Snapshot the weights as float32 copies, exactly what save_checkpoint
-    writes, so predictions from memory and from disk agree. The network
-    trains in float32, so its tensors are only copied; the CRF is cast.
+    writes, so predictions from memory and from disk agree. Float32 weights
+    are copied, and the weights of a float64 run are cast.
 
     The embedding table is frozen and already float32, so it is shared, not
     copied: one table serves training and every checkpoint of a run.
@@ -334,19 +331,22 @@ class TrainResult:
     history: list[EpochRecord]
 
 
-def _check_network_fits(net_config: net_mod.NetworkConfig, vocab_size: int):
-    """Raise ValidationError if training the network surely needs more memory
-    than the machine has, before any of it is allocated."""
+def _check_network_fits(net_config: net_mod.NetworkConfig, vocab_size: int, batch_tokens: int):
+    """Raise ValidationError if training surely needs more memory than the machine has, before any
+    of it is allocated. A batch of batch_tokens tokens has at least that many char-CNN windows."""
     weights = sum(math.prod(shape) for _, shape in net_mod.param_shapes(net_config, vocab_size))
-    # Five arrays per weight: the weight, its gradient, Adam's two moments and Adam's scratch.
-    need = weights * 5 * np.dtype(NETWORK_DTYPE).itemsize
+    itemsize = np.dtype(WEIGHT_DTYPE).itemsize
+    # Five arrays per weight: the weight, its gradient, Adam's two moments and Adam's scratch. Per char-CNN
+    # window: its char indices (win_idx), and its rows of windows and d_windows, width * char_embed_dim each.
+    window = net_config.char_filter_width * (np.dtype(np.intp).itemsize + 2 * net_config.char_embed_dim * itemsize)
+    need = weights * 5 * itemsize + batch_tokens * window
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # the platform does not say
         return
     if need > memory:
-        raise ValidationError(f"a network of {weights:,} weights needs {need / 2**30:,.1f} GiB to train, "
-                              f"more than this machine's {memory / 2**30:,.1f} GiB of memory")
+        raise ValidationError(f"training {weights:,} weights on batches of up to {batch_tokens:,} tokens needs "
+                              f"{need / 2**30:,.1f} GiB, more than this machine's {memory / 2**30:,.1f} GiB of memory")
 
 
 def train(
@@ -373,16 +373,16 @@ def train(
         net_config = net_mod.NetworkConfig(**{**asdict(net_config), "dropout_rate": train_config.dropout_rate})
 
     vocab = build_char_vocab(train_docs)
-    _check_network_fits(net_config, len(vocab))
+    sentences = [s for doc in train_docs for sent in doc.sentences for s in _split_long(sent)]
+    _check_network_fits(net_config, len(vocab), sum(sorted(map(len, sentences))[-train_config.batch_size:]))
     ss = np.random.SeedSequence(train_config.seed)
-    init_rng, shuffle_rng = (np.random.default_rng(s) for s in ss.spawn(2))
+    init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(3))
     # Drawn in float64 and cast once, so the draws and their order are those of a float64 run.
     drawn = net_mod.init_network_params(net_config, len(vocab), init_rng)
-    params = {n: arr.astype(NETWORK_DTYPE) for n, arr in drawn.items()}
-    params.update(crf_mod.init_params(net_config.num_tags, init_rng))
+    drawn.update(crf_mod.init_params(net_config.num_tags, init_rng))
+    params = {n: arr.astype(WEIGHT_DTYPE) for n, arr in drawn.items()}
     adam = AdamState(params)
 
-    sentences = [s for doc in train_docs for sent in doc.sentences for s in _split_long(sent)]
     history: list[EpochRecord] = []
     best_f1 = -1.0
     best_ckpt = None
@@ -392,9 +392,8 @@ def train(
         total = 0.0
         for b_start in range(0, len(sentences), train_config.batch_size):
             batch = [sentences[i] for i in order[b_start: b_start + train_config.batch_size]]
-            seed = train_config.seed * 1_000_003 + epoch * 1_009 + b_start
             try:
-                loss, grads = loss_and_gradients(batch, params, table, net_config, vocab, labels, seed=seed)
+                loss, grads = loss_and_gradients(batch, params, table, net_config, vocab, labels, seed=dropout_rng)
                 clip_gradients(grads)
             except NumericError as e:
                 batch_no = b_start // train_config.batch_size + 1

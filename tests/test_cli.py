@@ -237,6 +237,9 @@ def _bad_input_case(case, data_dir, tmp_path):
     if case == "config-names-an-adam-constant":
         bad.write_text('{"adam_beta1": 0.9}')
         return train + ["--config", str(bad)]
+    if case == "config-sets-seed":  # the seed has one source, --seed
+        bad.write_text('{"seed": 13, "epochs": 1, "lstm_hidden": 2}')
+        return train + ["--config", str(bad), "--seed", "5"]
     if case == "corpus-not-utf8":
         bad.write_bytes("fièvre\tO\n".encode("latin-1"))
         return ["stats", "--corpus", str(bad)]
@@ -255,6 +258,7 @@ def _bad_input_case(case, data_dir, tmp_path):
     "checkpoint-header-without-tensors", "config-not-json", "config-value-of-wrong-type",
     "config-names-an-adam-constant", "corpus-not-utf8", "train-negative-seed", "split-negative-seed",
     "config-network-too-large-for-memory", "checkpoint-header-nested-too-deep", "config-nested-too-deep",
+    "config-sets-seed",
 ])
 def test_malformed_input_is_one_error_line_and_exit_1(case, data_dir, tmp_path, capsys):
     rc = main(_bad_input_case(case, data_dir, tmp_path))
@@ -489,15 +493,15 @@ def test_predict_and_eval_with_a_mutated_checkpoint_header_give_a_result_or_one_
 # entry: a value out of range or of the wrong type, an unknown key or a key
 # the config may not set.
 _CONFIG_SIZES = {"epochs": 2, "lstm_hidden": 8, "char_embed_dim": 8, "char_filter_count": 8}
-_CONFIG_INTS = {**_CONFIG_SIZES, "batch_size": 9, "seed": 99}
-_CONFIG_OPTIONAL = ["batch_size", "seed", "char_filter_width", "learning_rate", "dropout_rate"]
+_CONFIG_INTS = {**_CONFIG_SIZES, "batch_size": 9}
+_CONFIG_OPTIONAL = ["batch_size", "char_filter_width", "learning_rate", "dropout_rate"]
 _CONFIG_KNOWN = [*_CONFIG_SIZES, *_CONFIG_OPTIONAL]
 _WRONG_TYPE = st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(0, 3), max_size=2)
 
 
 def _good_value(key):
     if key in _CONFIG_INTS:
-        return st.integers(0 if key == "seed" else 1, _CONFIG_INTS[key])
+        return st.integers(1, _CONFIG_INTS[key])
     if key == "char_filter_width":
         return st.sampled_from([1, 3, 5])
     return st.floats(1e-4, 0.5) if key == "learning_rate" else st.floats(0, 0.9)
@@ -519,7 +523,8 @@ _CONFIG = st.builds(
     lambda sizes, good, bad: {**sizes, **dict(good), **dict(bad)},
     st.fixed_dictionaries({key: _good_value(key) for key in _CONFIG_SIZES}),
     st.lists(_entries(_CONFIG_OPTIONAL, _good_value), max_size=3),
-    st.lists(_entries([*_CONFIG_KNOWN, "num_tags", "word_dim", "adam_beta1", "hidden"], _bad_value), max_size=1),
+    st.lists(_entries([*_CONFIG_KNOWN, "num_tags", "word_dim", "seed", "adam_beta1", "hidden"], _bad_value),
+             max_size=1),
 )
 
 

@@ -155,20 +155,21 @@ def test_hoisted_bilstm_matches_per_step_reference(dropout_seed):
     grads = _zero_grads(params)
     N.emissions_backward(d_emis, cache, params, PAPER, grads)
 
-    ref_grads = _zero_grads(params)
-    ref_emis, masks, end = [], [], 0
-    for j, n in enumerate(LENGTHS):
-        rows = slice(end, end + n)
-        end += n
-        shape = (n, PAPER.lstm_input_dim)
-        masks.append(np.ones(shape) if dropout_seed is None else N.dropout_mask(shape, PAPER.dropout_rate, [dropout_seed, j]))
-        ref_emis.append(reference_sentence(texts[rows], table, params, PAPER, vocab, masks[-1], d_emis[rows], ref_grads))
-
-    assert PAPER.lstm_hidden == 200
+    shape = (len(texts), PAPER.lstm_input_dim)
     if dropout_seed is None:
         assert cache["mask"] is None
-    else:
-        assert np.array_equal(cache["mask"], np.concatenate(masks))
+        mask = np.ones(shape)
+    else:  # one mask for the whole batch; each sentence takes its rows of it
+        mask = cache["mask"]
+        assert np.array_equal(mask, N.dropout_mask(shape, PAPER.dropout_rate, dropout_seed))
+    ref_grads = _zero_grads(params)
+    ref_emis, end = [], 0
+    for n in LENGTHS:
+        rows = slice(end, end + n)
+        end += n
+        ref_emis.append(reference_sentence(texts[rows], table, params, PAPER, vocab, mask[rows], d_emis[rows], ref_grads))
+
+    assert PAPER.lstm_hidden == 200
     assert_close(emis, np.concatenate(ref_emis))
     for name, ref in ref_grads.items():
         assert np.any(ref != 0.0), name

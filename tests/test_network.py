@@ -90,7 +90,7 @@ class TestParams:
                 for dtypes in step:
                     assert list(dtypes) == names
                     for name, dtype in dtypes.items():
-                        assert dtype == (np.float64 if name.startswith("crf.") else np.float32), name
+                        assert dtype == np.float32, name
             for weights in (ckpt.params, loaded.params):
                 assert [(name, arr.shape) for name, arr in weights.items()] == declared
                 assert {arr.dtype for arr in weights.values()} == {np.dtype(np.float32)}

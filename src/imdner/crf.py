@@ -4,12 +4,18 @@ Its tensors live in the model's one weight dict under the names param_shapes
 declares: crf.transitions[i, j] scores tag i -> tag j, crf.start and crf.end
 the first and last tag.
 
-The forward-backward is log-space float64: nll_gradients upcasts its
-emissions and the float32 CRF tensors on entry, because in float32 a long
-sentence's marginals drift (about 1% of a marginal at 512 tokens). Viterbi
-runs in the dtype of its inputs, float32 when decoding from a checkpoint. Ties in Viterbi are broken
-toward the lowest tag index at every backtracking step, so decoding is
-deterministic and directly comparable with exhaustive enumeration.
+nll_gradients runs one forward-backward over a whole batch of sentences,
+packed time-major as network._pack packs them for the BiLSTM, so each step
+is one (n, K) @ (K, K) product for the n sentences still running. It works
+in probabilities, not logs: every factor is exp(score - max), and alpha is
+divided by its row sum c at every step and beta by the same c (Rabiner,
+1989, as CRFsuite does). It runs in float64, upcasting its emissions and the
+float32 CRF tensors on entry, because in float32 a long sentence's marginals
+drift (about 1% of a marginal at 512 tokens). Viterbi runs per sentence in
+the dtype of its inputs, float32 when decoding from a checkpoint. Ties in
+Viterbi are broken toward the lowest tag index at every backtracking step,
+so decoding is deterministic and directly comparable with exhaustive
+enumeration.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LabelSet
-from .errors import check_finite
+from .errors import NumericError, check_finite
+from .network import _pack
 
 # Score of a move the BIO scheme forbids: no emission can beat it.
 MASK_SCORE = -np.inf
@@ -50,51 +57,85 @@ def path_score(emissions: np.ndarray, params: dict[str, np.ndarray], tags) -> fl
     return float(s)
 
 
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) along axis, shifted by the max for stability."""
-    m = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
+# A CRF tensor must span less than MAX_SPREAD nats (max - min). Each scaled
+# step's row sum c is then at least exp(-MAX_SPREAD) / K, so a product that
+# underflows below float64's smallest normal, about exp(-708), weighs at most
+# K**3 * exp(2 * MAX_SPREAD - 708) of what the next step keeps: about 1e-43 at
+# K = 25. At 400 nats a lost product can outweigh everything kept.
+MAX_SPREAD = 300.0
 
 
-def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tags):
-    """(nll, d/d emissions, d/d transitions), every result float64.
+def _factor(x: np.ndarray, name: str):
+    """(exp(x - max x), max x) of one float64 CRF tensor x."""
+    top = x.max()
+    spread = top - x.min()
+    if not spread < MAX_SPREAD:  # NaN too
+        raise NumericError(f"{name} spans {spread:.4g} nats; the CRF forward-backward holds less than {MAX_SPREAD:g}")
+    return np.exp(x - top), top
 
+
+def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tags, lengths=None):
+    """(nll, d/d emissions, d/d transitions) of B sentences, every result float64.
+
+    emissions (N, K) and gold_tags (N,) hold the sentences back to back, with
+    the given lengths; lengths=None means one sentence. Summed over them:
     nll = log Z - gold path score, log Z summing exp(score) over all paths
-    d/d emissions = marginals - onehot(gold)
+    d/d emissions = marginals - onehot(gold), (N, K) in sentence order
     d/d transitions = expected pairwise counts - observed counts
-    d/d start and d/d end are the first and last rows of d/d emissions.
+    d/d start and d/d end are each sentence's first and last rows of d/d emissions.
 
-    The emissions and the CRF tensors are upcast to float64 on entry.
+    The emissions and the CRF tensors are upcast to float64 on entry. A CRF
+    tensor that spans MAX_SPREAD nats or more raises NumericError.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
-    crf = {n: np.asarray(params[n], dtype=np.float64) for n in ("crf.transitions", "crf.start", "crf.end")}
-    trans, start, end = crf.values()
-    T = emissions.shape[0]
+    n_tok = len(emissions)
+    lengths = np.asarray([n_tok] if lengths is None else lengths, dtype=np.intp)
     gold = np.asarray(gold_tags)
-    alpha = np.empty_like(emissions)
-    alpha[0] = start + emissions[0]
-    for t in range(1, T):
-        alpha[t] = emissions[t] + _logsumexp(alpha[t - 1][:, None] + trans, axis=0)
-    beta = np.empty_like(emissions)
-    beta[T - 1] = end
-    for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(trans + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    log_z = _logsumexp(alpha[-1] + end)
-    value = float(log_z) - path_score(emissions, crf, gold)
+    crf = {n: np.asarray(params[n], dtype=np.float64) for n in ("crf.transitions", "crf.start", "crf.end")}
+    (trans, m_trans), (start, m_start), (end, m_end) = (_factor(x, n) for n, x in crf.items())
+    rows, step_start, active, prev = _pack(lengths)
+    batch = len(lengths)
+    top = emissions.max(axis=1, keepdims=True)
+    e = np.exp(emissions - top)[rows[0]]  # packed time-major, as network._pack lays it out
 
-    d_emis = np.exp(alpha + beta - log_z)  # the marginals
-    d_emis[np.arange(T), gold] -= 1.0
+    # Forward: alpha at step t is divided by its row sum c at step t.
+    alpha = np.empty_like(e)
+    c = np.empty(n_tok)
+    alpha[:batch] = start * e[:batch]
+    for t, (a, n) in enumerate(zip(step_start, active)):
+        if t:
+            p = step_start[t - 1]
+            np.matmul(alpha[p: p + n], trans, out=alpha[a: a + n])
+            alpha[a: a + n] *= e[a: a + n]
+        c[a: a + n] = alpha[a: a + n].sum(axis=1)
+        alpha[a: a + n] /= c[a: a + n, None]
+    ends = np.cumsum(lengths)
+    packed_at = np.empty(n_tok, dtype=np.intp)
+    packed_at[rows[0]] = np.arange(n_tok)
+    last = packed_at[ends - 1]
+    z_end = alpha[last] @ end
 
-    # Expected pairwise counts of all T-1 transitions at once: (T-1, K, K).
-    pair = np.exp(
-        alpha[:-1, :, None]
-        + trans
-        + (emissions[1:] + beta[1:])[:, None, :]
-        - log_z
-    )
-    d_trans = pair.sum(axis=0)
-    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
-    return value, d_emis, d_trans
+    # Backward, divided by the same c, so that alpha * beta are the marginals.
+    beta = np.empty_like(e)
+    beta[last] = end / z_end[:, None]
+    w = e / c[:, None]  # becomes e * beta / c, the message each row passes back
+    for t in range(len(active) - 1, 0, -1):
+        a, n, p = step_start[t], active[t], step_start[t - 1]
+        w[a: a + n] *= beta[a: a + n]
+        np.matmul(w[a: a + n], trans.T, out=beta[p: p + n])
+    log_z = np.log(c).sum() + np.log(z_end).sum() + top.sum() + (n_tok - batch) * m_trans + batch * (m_start + m_end)
+
+    has_next = np.ones(n_tok, dtype=bool)
+    has_next[ends - 1] = False
+    i = np.flatnonzero(has_next)  # every token but the last of its sentence
+    gold_score = (emissions[np.arange(n_tok), gold].sum() + crf["crf.transitions"][gold[i], gold[i + 1]].sum()
+                  + crf["crf.start"][gold[ends - lengths]].sum() + crf["crf.end"][gold[ends - 1]].sum())
+    d_emis = (alpha * beta)[packed_at]  # the marginals
+    d_emis[np.arange(n_tok), gold] -= 1.0
+    # Expected pairwise counts: the alpha before each row of steps 1.. against its message, one GEMM.
+    d_trans = trans * (alpha[prev[batch:] - batch].T @ w[batch:])
+    np.add.at(d_trans, (gold[i], gold[i + 1]), -1.0)
+    return float(log_z - gold_score), d_emis, d_trans
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the path score is checked

@@ -5,13 +5,15 @@ SeedSequence, so a repeated run produces a bitwise-identical checkpoint. The
 weights are one name -> tensor dict, the network's tensors and then the
 CRF's; gradients, Adam's moments and the checkpoint keep its names and
 order. Every weight is drawn in float64 and cast once to WEIGHT_DTYPE,
-float32, so the gradients and Adam moments are float32 too; crf.nll_gradients
-still runs its forward-backward in float64 (Micikevicius et al.,
-arXiv:1710.03740: store in low precision, reduce in high). A checkpoint holds
-a float32 copy of every weight and the frozen float32 embedding table, so the
-on-disk float32 container is lossless and a checkpoint decodes in float32
-whether it was just made or loaded from disk. Training, dev scoring and every
-checkpoint of a run use one and the same table.
+float32, so the gradients and Adam moments are float32 too. A batch makes one
+crf.nll_gradients call, whose forward-backward runs in float64; its emission
+gradients are cast back to float32 for the network's backward pass
+(Micikevicius et al., arXiv:1710.03740: store in low precision, reduce in
+high). A checkpoint holds a float32 copy of every weight and the frozen
+float32 embedding table, so the on-disk float32 container is lossless and a
+checkpoint decodes in float32 whether it was just made or loaded from disk.
+Training, dev scoring and every checkpoint of a run use one and the same
+table.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ def loss_and_gradients(
 ):
     """Mean per-sentence CRF negative log-likelihood and its gradients, keyed as params.
 
-    The network runs once forward and once backward over the whole batch;
-    the CRF runs per sentence on its rows. Dropout is active only when a
+    The network and the CRF's forward-backward each run once over the whole
+    batch, and the network once backward. Dropout is active only when a
     seed is given, anything np.random.default_rng takes: training's Generator
     continues one stream of masks, and an int gives the same mask each call.
     """
@@ -112,20 +114,18 @@ def loss_and_gradients(
         raise ValidationError("empty batch")
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     scale = 1.0 / len(batch)
-    total = 0.0
     texts = [t for sent in batch for t in sent.texts]
     lengths = [len(sent) for sent in batch]
+    gold = [labels.tag_index(t) for sent in batch for t in sent.tags]
     emis, cache = net_mod.emissions_forward(texts, lengths, table, params, config, vocab, seed)
-    d_emis = np.empty_like(emis)
-    offsets = np.cumsum([0, *lengths])
-    for sent, a, b in zip(batch, offsets, offsets[1:]):
-        gold = [labels.tag_index(t) for t in sent.tags]
-        value, d_emis[a:b], d_trans = crf_mod.nll_gradients(emis[a:b], params, gold)
-        total += value
-        grads["crf.transitions"] += scale * d_trans
+    total, d_emis, d_trans = crf_mod.nll_gradients(emis, params, gold, lengths)
+    # Back in the weights' dtype, so the network's backward runs in float32 in training.
+    d_emis = d_emis.astype(emis.dtype, copy=False)
     d_emis *= scale
-    grads["crf.start"] += d_emis[offsets[:-1]].sum(axis=0)
-    grads["crf.end"] += d_emis[offsets[1:] - 1].sum(axis=0)
+    grads["crf.transitions"] += scale * d_trans
+    ends = np.cumsum(lengths)
+    grads["crf.start"] += d_emis[ends - lengths].sum(axis=0)
+    grads["crf.end"] += d_emis[ends - 1].sum(axis=0)
     net_mod.emissions_backward(d_emis, cache, params, config, grads)
     return total * scale, grads
 
@@ -331,22 +331,32 @@ class TrainResult:
     history: list[EpochRecord]
 
 
-def _check_network_fits(net_config: net_mod.NetworkConfig, vocab_size: int, batch_tokens: int):
+def _check_network_fits(net_config: net_mod.NetworkConfig, vocab_size: int, sentences: list[Sentence],
+                        batch_size: int):
     """Raise ValidationError if training surely needs more memory than the machine has, before any
-    of it is allocated. A batch of batch_tokens tokens has at least that many char-CNN windows."""
+    of it is allocated: the weights, and the char-CNN buffers of the batch_size sentences with the most
+    convolution windows. A token has one window per char when it is shorter than the filter, and
+    len - width + 1 otherwise."""
     weights = sum(math.prod(shape) for _, shape in net_mod.param_shapes(net_config, vocab_size))
     itemsize = np.dtype(WEIGHT_DTYPE).itemsize
+    width = net_config.char_filter_width
+    windows = sorted(sum(n if n < width else n - width + 1 for n in map(len, s.texts)) for s in sentences)
+    batch_windows = sum(windows[-batch_size:])
+    batch_tokens = sum(sorted(map(len, sentences))[-batch_size:])
     # Five arrays per weight: the weight, its gradient, Adam's two moments and Adam's scratch. Per char-CNN
-    # window: its char indices (win_idx), and its rows of windows and d_windows, width * char_embed_dim each.
-    window = net_config.char_filter_width * (np.dtype(np.intp).itemsize + 2 * net_config.char_embed_dim * itemsize)
-    need = weights * 5 * itemsize + batch_tokens * window
+    # window: its char indices (win_idx), its rows of windows and d_windows, width * char_embed_dim each,
+    # and its rows of scores and d_scores, char_filter_count each.
+    window = (width * (np.dtype(np.intp).itemsize + 2 * net_config.char_embed_dim * itemsize)
+              + 2 * net_config.char_filter_count * itemsize)
+    need = weights * 5 * itemsize + batch_windows * window
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # the platform does not say
         return
     if need > memory:
-        raise ValidationError(f"training {weights:,} weights on batches of up to {batch_tokens:,} tokens needs "
-                              f"{need / 2**30:,.1f} GiB, more than this machine's {memory / 2**30:,.1f} GiB of memory")
+        raise ValidationError(f"training {weights:,} weights on batches of up to {batch_tokens:,} tokens "
+                              f"({batch_windows:,} char-CNN windows) needs {need / 2**30:,.1f} GiB, "
+                              f"more than this machine's {memory / 2**30:,.1f} GiB of memory")
 
 
 def train(
@@ -374,7 +384,7 @@ def train(
 
     vocab = build_char_vocab(train_docs)
     sentences = [s for doc in train_docs for sent in doc.sentences for s in _split_long(sent)]
-    _check_network_fits(net_config, len(vocab), sum(sorted(map(len, sentences))[-train_config.batch_size:]))
+    _check_network_fits(net_config, len(vocab), sentences, train_config.batch_size)
     ss = np.random.SeedSequence(train_config.seed)
     init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(3))
     # Drawn in float64 and cast once, so the draws and their order are those of a float64 run.

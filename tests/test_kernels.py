@@ -1,14 +1,19 @@
-"""Oracle tests for the packed BiLSTM, the batched char-CNN and the inline
-CRF log-sum-exp.
+"""Oracle tests for the packed BiLSTM, the batched char-CNN and the packed
+CRF forward-backward.
 
 The references below are the straightforward per-sentence, per-step kernels:
 one matrix-vector product per gate input and two np.outer calls per step in
 the LSTM backward, a per-token char-CNN that takes the max over tanh, and
-scipy.special.logsumexp in the CRF recursions. The package's kernels batch
-sentences and reorder floating-point sums, so they are held to a relative
-tolerance, not to bitwise equality.
-"""
+scipy.special.logsumexp in log-space CRF recursions. The package's kernels
+batch sentences and reorder floating-point sums, so they are held to a
+relative tolerance, not to bitwise equality. Where the emissions span
+thousands of nats, a float64 log-space recursion is itself off by up to
+2e-11, so there the CRF is checked against exact values from a 60-digit
+mpmath forward-backward instead."""
 
+from collections import Counter
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -16,6 +21,7 @@ from scipy.special import logsumexp
 from imdner import crf as C
 from imdner import network as N
 from imdner.embeddings import CharVocab, EmbeddingTable
+from imdner.errors import NumericError
 
 RTOL = 1e-10
 
@@ -210,7 +216,7 @@ def test_hoisted_lstm_input_gradients_match_reference():
         assert_close(grads[name], ref)
 
 
-# -- CRF log-sum-exp against scipy ------------------------------------------------
+# -- CRF forward-backward against scipy and against exact values -----------------
 
 
 def reference_alphas_betas(emissions, crf):
@@ -241,20 +247,54 @@ def reference_nll_gradients(emissions, crf, gold):
     return d_emis, d_trans
 
 
+def exact_nll_gradients(emissions, crf, gold):
+    """(nll, d_emis, d_trans) from an unscaled 60-digit forward-backward, each
+    correctly rounded to float64. mpmath's exponent range is unbounded, so
+    nothing is shifted or scaled; every exp is computed once."""
+    T, K = emissions.shape
+    with mpmath.workdps(60):
+        def exp(a):
+            return [[mpmath.exp(float(x)) for x in row] for row in np.atleast_2d(a)]
+
+        e, p = exp(emissions), exp(crf["crf.transitions"])
+        (start,), (end,) = exp(crf["crf.start"]), exp(crf["crf.end"])
+        alpha = [[start[j] * e[0][j] for j in range(K)]]
+        for t in range(1, T):
+            alpha.append([e[t][j] * mpmath.fdot(alpha[-1], (p[i][j] for i in range(K))) for j in range(K)])
+        beta = [end]
+        for t in range(T - 1, 0, -1):
+            beta.insert(0, [mpmath.fdot(p[i], [e[t][j] * beta[0][j] for j in range(K)]) for i in range(K)])
+        z = mpmath.fdot(alpha[-1], end)
+        score = mpmath.fsum([crf["crf.start"][gold[0]], crf["crf.end"][gold[-1]],
+                             *(emissions[t, y] for t, y in enumerate(gold)),
+                             *(crf["crf.transitions"][a, b] for a, b in zip(gold, gold[1:]))])
+        d_emis = [[float(alpha[t][k] * beta[t][k] / z - (k == gold[t])) for k in range(K)] for t in range(T)]
+        # message[t][j]: the factor of every pair that moves to tag j at step t.
+        message = [[e[t][j] * beta[t][j] / z for j in range(K)] for t in range(1, T)]
+        observed = Counter(zip(gold, gold[1:]))
+        d_trans = [[float(mpmath.fsum(alpha[t][i] * message[t][j] for t in range(T - 1)) * p[i][j] - observed[i, j])
+                    for j in range(K)] for i in range(K)]
+        return float(mpmath.log(z) - score), np.array(d_emis), np.array(d_trans)
+
+
 def _crf_instance(rng, T, K=25, scale=1e3):
     emis = rng.choice([-scale, scale], size=(T, K)) * rng.uniform(0.5, 1.0, size=(T, K))
     params = {"crf.transitions": rng.normal(size=(K, K)), "crf.start": rng.normal(size=K), "crf.end": rng.normal(size=K)}
     return emis, params
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e3])
-@pytest.mark.parametrize("T", [1, 2, 40])
-def test_inline_logsumexp_matches_scipy(T, scale):
+def _crf_cases(T, scale):
+    """Five seeded (emissions, CRF tensors, gold tags) instances of T tokens and 25 tags."""
     rng = np.random.default_rng(T)
     for _ in range(5):
         emis, params = _crf_instance(rng, T, scale=scale)
+        yield emis, params, list(rng.integers(0, emis.shape[1], size=T))
+
+
+@pytest.mark.parametrize("T", [1, 2, 40])
+def test_nll_gradients_match_scipy(T):
+    for emis, params, gold in _crf_cases(T, scale=1.0):
         _, _, log_z = reference_alphas_betas(emis, params)
-        gold = list(rng.integers(0, emis.shape[1], size=T))
         value, *got = C.nll_gradients(emis, params, gold)
         path = C.path_score(emis, params, gold)
         assert value + path == pytest.approx(float(log_z), rel=RTOL)
@@ -262,6 +302,55 @@ def test_inline_logsumexp_matches_scipy(T, scale):
         # got[0] is d nll / d emissions = marginals - onehot(gold).
         for g, ref in zip(got, reference_nll_gradients(emis, params, gold), strict=True):
             np.testing.assert_allclose(g, ref, rtol=RTOL, atol=1e-300)
+
+
+@pytest.mark.parametrize("T", [1, 2, 40])
+def test_nll_gradients_match_exact_values_at_emissions_of_1e3(T):
+    # Marginals here run from 1 down past 1e-300, so a log-space float64
+    # recursion is off by up to 2e-11; the scaled one keeps within 2e-15.
+    for emis, params, gold in _crf_cases(T, scale=1e3):
+        for got, ref in zip(C.nll_gradients(emis, params, gold), exact_nll_gradients(emis, params, gold), strict=True):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("lengths", [[1], [1, 1, 1], [6, 6, 6], [5, 1, 12, 1, 3], [2, 9, 9, 1, 30, 4, 4, 7]])
+def test_a_ragged_batch_equals_per_sentence_calls(lengths):
+    rng = np.random.default_rng(len(lengths) + sum(lengths))
+    emis, params = _crf_instance(rng, sum(lengths), K=7, scale=5.0)
+    gold = rng.integers(0, 7, size=sum(lengths))
+    value, d_emis, d_trans = C.nll_gradients(emis, params, gold, lengths)
+    ends = np.cumsum(lengths)
+    parts = [C.nll_gradients(emis[b - n: b], params, gold[b - n: b]) for n, b in zip(lengths, ends)]
+    assert value == pytest.approx(sum(part[0] for part in parts), rel=RTOL)
+    for n, b, part in zip(lengths, ends, parts):
+        np.testing.assert_allclose(d_emis[b - n: b], part[1], rtol=RTOL, atol=1e-14)
+    np.testing.assert_allclose(d_trans, sum(part[2] for part in parts), rtol=RTOL, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["crf.transitions", "crf.start", "crf.end"])
+def test_a_crf_tensor_spanning_the_limit_is_a_numeric_error(name):
+    emis, params = _crf_instance(np.random.default_rng(0), 6, K=4, scale=1.0)
+    for low in (-C.MAX_SPREAD, -600.0, -1e4, -np.inf, np.nan):
+        moved = {**params, name: np.zeros_like(params[name])}
+        moved[name].flat[-1] = low
+        with np.errstate(all="raise"), pytest.raises(NumericError, match=name):
+            C.nll_gradients(emis, moved, [0] * 6, [2, 4])
+
+
+def test_crf_tensors_just_inside_the_limit_give_exact_values():
+    # Every CRF tensor spans just under MAX_SPREAD nats and the emissions
+    # span thousands, so many products underflow; none of it may show.
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        emis = rng.normal(scale=1e3, size=(12, 4))
+        params = {n: rng.choice([0.0, 0.1 - C.MAX_SPREAD], size=shape) for n, shape in C.param_shapes(4)}
+        for x in params.values():
+            x.flat[0], x.flat[-1] = 0.0, 0.1 - C.MAX_SPREAD
+        gold = list(rng.integers(0, 4, size=12))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = C.nll_gradients(emis, params, gold)
+        for g, ref in zip(got, exact_nll_gradients(emis, params, gold), strict=True):
+            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-14)
 
 
 @pytest.mark.parametrize("T", [1, 2, 7])

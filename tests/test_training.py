@@ -135,6 +135,23 @@ class TestLossAndGradients:
         T.loss_and_gradients(sents, params, toy_table, config, vocab, labels, seed=5)
         assert len(sents) == 3 and calls == {"emissions_forward": 1, "emissions_backward": 1}
 
+    def test_the_network_backward_gets_float32_gradients_from_float32_weights(self, labels, toy_table, tiny_setup,
+                                                                              monkeypatch):
+        # The CRF returns float64 gradients; they must be cast back before the backward pass.
+        config, sents, vocab, params = tiny_setup
+        params = {name: arr.astype(T.WEIGHT_DTYPE) for name, arr in params.items()}
+        seen = []
+        real = N._bilstm_backward
+
+        def recording(d_out, *args, **kw):
+            seen.append(d_out.dtype)
+            return real(d_out, *args, **kw)
+
+        monkeypatch.setattr(N, "_bilstm_backward", recording)
+        _, grads = T.loss_and_gradients(sents, params, toy_table, config, vocab, labels, seed=5)
+        assert seen == [np.dtype(T.WEIGHT_DTYPE)]
+        assert {g.dtype for g in grads.values()} == {np.dtype(T.WEIGHT_DTYPE)}
+
 
 def reference_adam_update(state, params, grads, cfg):
     """The allocating Adam step the in-place one replaced, kept as a reference:
@@ -337,6 +354,16 @@ class TestTrain:
         monkeypatch.setattr(T, "loss_and_gradients", lambda *args, **kw: pytest.fail("training started"))
         config = small_net_config(labels, char_filter_width=1501)
         with pytest.raises(ValidationError, match="batches of up to 102 tokens"):
+            T.train(toy_corpus, [], toy_table, config, T.TrainConfig(epochs=1, batch_size=64), labels)
+
+    def test_char_windows_are_counted_exactly_not_by_tokens(self, toy_corpus, toy_table, labels, monkeypatch):
+        # 16 MiB of memory. Counted as one window per token, the toy corpus's 102 tokens at width 1501 need
+        # about 6.3 MiB; its tokens are shorter than the filter, so they have one window per char, 476 in all,
+        # and need about 27.7 MiB.
+        monkeypatch.setattr(T.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}[name])
+        monkeypatch.setattr(T, "loss_and_gradients", lambda *args, **kw: pytest.fail("training started"))
+        config = small_net_config(labels, char_filter_width=1501)
+        with pytest.raises(ValidationError, match=r"batches of up to 102 tokens \(476 char-CNN windows\)"):
             T.train(toy_corpus, [], toy_table, config, T.TrainConfig(epochs=1, batch_size=64), labels)
 
     def test_table_from_float64_values_holds_their_float32_rounding(self, labels):

@@ -48,15 +48,6 @@ class PathScore:
     score: float
 
 
-def path_score(emissions: np.ndarray, params: dict[str, np.ndarray], tags) -> float:
-    """Unnormalized log-score of one tag sequence."""
-    tags = np.asarray(list(tags), dtype=int)
-    s = params["crf.start"][tags[0]] + params["crf.end"][tags[-1]]
-    s += emissions[np.arange(len(tags)), tags].sum()
-    s += params["crf.transitions"][tags[:-1], tags[1:]].sum()
-    return float(s)
-
-
 # A CRF tensor must span less than MAX_SPREAD nats (max - min). Each scaled
 # step's row sum c is then at least exp(-MAX_SPREAD) / K, so a product that
 # underflows below float64's smallest normal, about exp(-708), weighs at most

@@ -15,8 +15,8 @@ class EmbeddingTable:
     """Word -> vector lookup, total over all strings.
 
     Row i of `matrix`, a (len(words), dim) float32 array, is the vector of
-    words[i]. Values given in another dtype are stored as their float32
-    rounding, so a checkpoint holds the table exactly as it is used.
+    words[i], each word a distinct string. Values in another dtype are
+    stored as their float32 rounding, so a checkpoint holds the table as used.
     Lookup order: exact match, then lowercased match, then unk_vector, a
     float32 zero vector that is not a constructor argument and that no
     checkpoint stores. Vectors are never trained.
@@ -32,7 +32,10 @@ class EmbeddingTable:
         self.matrix = np.asarray(self.matrix, dtype=np.float32)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.words):
             raise ValidationError(f"matrix of shape {self.matrix.shape} does not hold {len(self.words)} word vectors")
-        self.index = {w: i for i, w in enumerate(self.words)}
+        self.index = {}
+        for i, word in enumerate(self.words):
+            if not isinstance(word, str) or self.index.setdefault(word, i) != i:
+                raise ValidationError(f"embedding word {i}, {word!r}, is not a string or repeats an earlier word")
         self.unk_vector = np.zeros(self.dim, np.float32)
 
     @property

@@ -11,9 +11,10 @@ backward pass needs.
 
 The weights are the model's one name -> tensor dict: param_shapes declares
 the network's tensors, and the CRF's follow them. The gradients, Adam and the
-checkpoint use the same names. A forward pass stops with a NumericError
-naming the first stage whose output holds a NaN or an Inf; numpy's overflow
-and invalid-value warnings are off inside it.
+checkpoint use the same names, and the kernels read their sizes from the
+tensors. A forward pass stops with a NumericError naming the first stage
+whose output holds a NaN or an Inf; numpy's overflow and invalid-value
+warnings are off inside it.
 
 - Char-CNN: the convolution windows of all N tokens, packed token after
   token with no padding, are gathered with one fancy index and scored with
@@ -23,11 +24,12 @@ and invalid-value warnings are off inside it.
 - BiLSTM: the sentences are packed time-major in order of decreasing length
   (Appleyard et al., arXiv:1604.01946), so the sentences still running at
   step t are a prefix of the batch, and both directions advance in the same
-  step; the backward direction reads each sentence reversed. The input
-  projection X @ Wx.T + b and the weight gradients are one 2-D GEMM per
-  direction over all N tokens. Only h @ Wh.T, against a contiguous
-  transposed copy of Wh, stays in the time loop, and the backward loop only
-  fills the stacked gate gradients dZ.
+  step; the backward direction reads each sentence reversed. Each LSTM
+  tensor holds both directions on axis 0, forward first, and its gate rows
+  in [input, forget, cell, output] order, so X @ Wx.T + b and the weight and
+  input gradients are each one stacked GEMM over all N tokens. Only
+  h @ Wh.T, against a contiguous transposed copy of Wh, stays in the time
+  loop, and the backward loop only fills the stacked gate gradients dZ.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .embeddings import CharVocab, EmbeddingTable
 from .errors import ValidationError, check_field_types, check_finite
 
 MAX_SENTENCE_LEN = 512
-DIRECTIONS = ("lstm_fw", "lstm_bw")
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,17 @@ class NetworkConfig:
 def param_shapes(config: NetworkConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
     """Name and shape of every network tensor, in the order of the weight dict.
 
-    Each LSTM direction has wx (4H, In), wh (4H, H) and b (4H,), gate order
-    along axis 0 [input, forget, cell, output].
+    lstm.wx (2, 4H, In), lstm.wh (2, 4H, H) and lstm.b (2, 4H) stack the forward and
+    backward direction on axis 0, gate order along 4H [input, forget, cell, output].
     """
-    h, d_in = config.lstm_hidden, config.lstm_input_dim
-    lstm = [("wx", (4 * h, d_in)), ("wh", (4 * h, h)), ("b", (4 * h,))]
+    h = config.lstm_hidden
     return [
         ("char_embeddings", (vocab_size, config.char_embed_dim)),
         ("conv_filters", (config.char_filter_count, config.char_filter_width, config.char_embed_dim)),
         ("conv_bias", (config.char_filter_count,)),
-        *((f"{direction}.{name}", shape) for direction in DIRECTIONS for name, shape in lstm),
+        ("lstm.wx", (2, 4 * h, config.lstm_input_dim)),
+        ("lstm.wh", (2, 4 * h, h)),
+        ("lstm.b", (2, 4 * h)),
         ("proj_weights", (2 * h, config.num_tags)),
         ("proj_bias", (config.num_tags,)),
     ]
@@ -90,9 +92,7 @@ def param_shapes(config: NetworkConfig, vocab_size: int) -> list[tuple[str, tupl
 def init_network_params(config: NetworkConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Seeded uniform(-0.1, 0.1) drawn in param_shapes order, forget-gate biases at 1.0."""
     params = {n: rng.uniform(-0.1, 0.1, size=s) for n, s in param_shapes(config, vocab_size)}
-    h = config.lstm_hidden
-    for direction in DIRECTIONS:
-        params[f"{direction}.b"][h: 2 * h] = 1.0
+    params["lstm.b"].reshape(2, 4, -1)[:, 1] = 1.0  # gate 1 of 4, the forget gate
     return params
 
 
@@ -128,15 +128,15 @@ def _char_windows(token_texts: list[str], vocab: CharVocab, width: int):
     return chars[starts[:, None] + np.arange(width)], n_pos
 
 
-def char_features_forward(token_texts: list[str], vocab: CharVocab, params: dict[str, np.ndarray], config: NetworkConfig):
-    """(N, filter_count) features of N tokens: 1-D convolution over char
-    embeddings, max over each token's windows, then tanh."""
+def char_features_forward(token_texts: list[str], vocab: CharVocab, params: dict[str, np.ndarray]):
+    """(N, F) features of N tokens: 1-D convolution over char embeddings, max
+    over each token's windows, then tanh. conv_filters (F, width, d) sets the sizes."""
     if isinstance(token_texts, str):
         raise ValidationError("char features take a list of tokens, not a string")
-    f_count = config.char_filter_count
-    win_idx, n_pos = _char_windows(token_texts, vocab, config.char_filter_width)
+    filters = params["conv_filters"]
+    win_idx, n_pos = _char_windows(token_texts, vocab, filters.shape[1])
     windows = params["char_embeddings"][win_idx].reshape(len(win_idx), -1)  # (P, w*d)
-    scores = windows @ params["conv_filters"].reshape(f_count, -1).T + params["conv_bias"]  # (P, F)
+    scores = windows @ filters.reshape(len(filters), -1).T + params["conv_bias"]  # (P, F)
     first = np.cumsum(n_pos) - n_pos
     best = np.maximum.reduceat(scores, first, axis=0)  # (N, F)
     # The gradient goes to the first window of the token that attains the max.
@@ -146,16 +146,15 @@ def char_features_forward(token_texts: list[str], vocab: CharVocab, params: dict
     return feat, {"win_idx": win_idx, "windows": windows, "argmax": argmax, "feat": feat}
 
 
-def char_features_backward(d_feat, cache, params: dict[str, np.ndarray], config: NetworkConfig, grads):
-    """Accumulate char-CNN gradients given d loss / d features (N, filter_count)."""
-    f_count, d = config.char_filter_count, config.char_embed_dim
-    windows, win_idx, feat = cache["windows"], cache["win_idx"], cache["feat"]
-    d_scores = np.zeros((len(windows), f_count), dtype=windows.dtype)  # nonzero only at each max
-    d_scores[cache["argmax"], np.arange(f_count)] = d_feat * (1.0 - feat**2)
-    grads["conv_filters"] += (d_scores.T @ windows).reshape(params["conv_filters"].shape)
+def char_features_backward(d_feat, cache, params: dict[str, np.ndarray], grads):
+    """Accumulate char-CNN gradients given d loss / d features (N, F)."""
+    windows, win_idx, feat, filters = cache["windows"], cache["win_idx"], cache["feat"], params["conv_filters"]
+    d_scores = np.zeros((len(windows), len(filters)), dtype=windows.dtype)  # nonzero only at each max
+    d_scores[cache["argmax"], np.arange(len(filters))] = d_feat * (1.0 - feat**2)
+    grads["conv_filters"] += (d_scores.T @ windows).reshape(filters.shape)
     grads["conv_bias"] += d_scores.sum(axis=0)
-    d_windows = d_scores @ params["conv_filters"].reshape(f_count, -1)  # (P, w*d)
-    np.add.at(grads["char_embeddings"], win_idx.ravel(), d_windows.reshape(-1, d))
+    d_windows = d_scores @ filters.reshape(len(filters), -1)  # (P, w*d)
+    np.add.at(grads["char_embeddings"], win_idx.ravel(), d_windows.reshape(win_idx.size, -1))
 
 
 def _pack(lengths: np.ndarray):
@@ -179,7 +178,7 @@ def _pack(lengths: np.ndarray):
     return rows, start, active, prev
 
 
-def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: dict[str, np.ndarray], hidden: int):
+def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: dict[str, np.ndarray]):
     """Both LSTM directions over the packed sentences xs (N, In); returns the
     hidden states (N, 2H) in sentence order, [forward, backward], and the cache.
 
@@ -187,14 +186,11 @@ def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: dict[str, np.nd
     hidden and cell states as (2, B + N, H), the first B rows zero.
     """
     rows, start, active, prev = _pack(lengths)
-    n_tok, batch, dtype = len(xs), len(lengths), xs.dtype
+    n_tok, batch, hidden, dtype = len(xs), len(lengths), params["lstm.wh"].shape[2], xs.dtype
     x = xs[rows]  # (2, N, In), the token each direction reads at each packed row
-    gates = np.empty((2, n_tok, 4 * hidden), dtype=dtype)
-    for d, direction in enumerate(DIRECTIONS):
-        np.matmul(x[d], params[f"{direction}.wx"].T, out=gates[d])
-        gates[d] += params[f"{direction}.b"]
-    gates = gates.reshape(2, n_tok, 4, hidden)
-    wh_t = np.stack([params[f"{name}.wh"] for name in DIRECTIONS]).transpose(0, 2, 1).copy()  # (2, H, 4H), C-contiguous
+    gates = np.matmul(x, params["lstm.wx"].transpose(0, 2, 1)).reshape(2, n_tok, 4, hidden)
+    gates += params["lstm.b"].reshape(2, 1, 4, hidden)
+    wh_t = params["lstm.wh"].transpose(0, 2, 1).copy()  # (2, H, 4H), C-contiguous
     hs = np.zeros((2, batch + n_tok, hidden), dtype=dtype)
     cs = np.zeros((2, batch + n_tok, hidden), dtype=dtype)
     tanh_cs = np.empty((2, n_tok, hidden), dtype=dtype)
@@ -212,23 +208,22 @@ def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: dict[str, np.nd
         np.multiply(z[:, :, 3], tanh_cs[:, a: a + n], out=hs[:, b: b + n])
     check_finite(hs[0], "forward LSTM")
     check_finite(hs[1], "backward LSTM")
-    out = np.empty((n_tok, 2 * hidden), dtype=dtype)
-    out[rows[0], :hidden] = hs[0, batch:]
-    out[rows[1], hidden:] = hs[1, batch:]
+    out = np.empty((n_tok, 2, hidden), dtype=dtype)
+    out[rows, [[0], [1]]] = hs[:, batch:]  # direction d's packed row r is token rows[d, r]
     cache = {"x": x, "rows": rows, "start": start, "active": active, "prev": prev,
              "gates": gates, "hs": hs, "cs": cs, "tanh_cs": tanh_cs}
-    return out, cache
+    return out.reshape(n_tok, -1), cache
 
 
-def _bilstm_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], hidden: int, grads, frozen: int):
+def _bilstm_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], grads, frozen: int):
     """BPTT through both directions; d_out (N, 2H) are gradients on the
     hidden states in sentence order. The time loop only carries dh/dc
     through Wh and fills the stacked gate gradients dZ; the weight and input
-    gradients are then 2-D GEMMs per direction. Returns d xs (N, In - frozen):
+    gradients are then one stacked GEMM each. Returns d xs (N, In - frozen):
     the first `frozen` input columns take no gradient."""
     rows, start, active, prev = cache["rows"], cache["start"], cache["active"], cache["prev"]
-    gates, tanh_cs, x = cache["gates"], cache["tanh_cs"], cache["x"]
-    n_tok = len(d_out)
+    gates, tanh_cs, x, wh = cache["gates"], cache["tanh_cs"], cache["x"], params["lstm.wh"]
+    n_tok, hidden = len(d_out), wh.shape[2]
     i, f, g, o = (gates[:, :, q] for q in range(4))
     # d z / d c for the i, f, g gates and d z / d h for the o gate, per row.
     coef = np.stack(
@@ -236,8 +231,7 @@ def _bilstm_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], hi
         axis=2,
     )
     dc_dh = o * (1.0 - tanh_cs**2)
-    d_hs = np.stack([d_out[rows[0], :hidden], d_out[rows[1], hidden:]])  # (2, N, H), packed
-    wh = np.stack([params[f"{name}.wh"] for name in DIRECTIONS])  # (2, 4H, H)
+    d_hs = d_out.reshape(n_tok, 2, hidden)[rows, [[0], [1]]]  # (2, N, H), packed
     d_z = np.empty((2, n_tok, 4, hidden), dtype=d_out.dtype)
     dh_next = dc_next = np.zeros((2, 0, hidden), dtype=d_out.dtype)
     for t in range(len(active) - 1, -1, -1):
@@ -252,13 +246,13 @@ def _bilstm_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], hi
         dh_next = np.matmul(dz.reshape(2, n, -1), wh)
         dc_next = dc * f[:, a: a + n]
     d_z = d_z.reshape(2, n_tok, -1)
-    h_prev = cache["hs"][:, prev]
-    d_xs = np.zeros((n_tok, x.shape[2] - frozen), dtype=d_out.dtype)
-    for d, direction in enumerate(DIRECTIONS):
-        grads[f"{direction}.wx"] += d_z[d].T @ x[d]
-        grads[f"{direction}.wh"] += d_z[d].T @ h_prev[d]
-        grads[f"{direction}.b"] += d_z[d].sum(axis=0)
-        d_xs[rows[d]] += d_z[d] @ params[f"{direction}.wx"][:, frozen:]
+    grads["lstm.wx"] += np.matmul(d_z.transpose(0, 2, 1), x)
+    grads["lstm.wh"] += np.matmul(d_z.transpose(0, 2, 1), cache["hs"][:, prev])
+    grads["lstm.b"] += d_z.sum(axis=1)
+    d_x = np.matmul(d_z, params["lstm.wx"][:, :, frozen:])  # (2, N, In - frozen), packed
+    d_xs = np.empty_like(d_x[0])
+    d_xs[rows[0]] = d_x[0]
+    d_xs[rows[1]] += d_x[1]
     return d_xs
 
 
@@ -290,29 +284,28 @@ def emissions_forward(
     if table.dim != config.word_dim:
         raise ValidationError(f"embedding dim {table.dim} does not match configured word_dim {config.word_dim}")
 
-    char_feats, char_cache = char_features_forward(token_texts, vocab, params, config)
+    char_feats, char_cache = char_features_forward(token_texts, vocab, params)
     word_vecs = np.stack([table.lookup(t) for t in token_texts])
-    xs = np.concatenate([word_vecs, char_feats], axis=1, dtype=params["lstm_fw.wx"].dtype)
+    xs = np.concatenate([word_vecs, char_feats], axis=1, dtype=params["lstm.wx"].dtype)
     check_finite(xs, "word vectors and char features")
     mask = None
     if dropout_seed is not None and config.dropout_rate > 0.0:
         mask = dropout_mask(xs.shape, config.dropout_rate, dropout_seed, xs.dtype)
         xs *= mask
 
-    hidden, lstm_cache = _bilstm_forward(xs, lengths, params, config.lstm_hidden)
+    hidden, lstm_cache = _bilstm_forward(xs, lengths, params)
     emis = hidden @ params["proj_weights"] + params["proj_bias"]
     check_finite(emis, "projection")
     return emis, {"char_cache": char_cache, "mask": mask, "lstm_cache": lstm_cache, "hidden": hidden}
 
 
-def emissions_backward(d_emis: np.ndarray, cache, params: dict[str, np.ndarray], config: NetworkConfig, grads):
+def emissions_backward(d_emis: np.ndarray, cache, params: dict[str, np.ndarray], grads):
     """Accumulate network gradients given d loss / d emissions (N, num_tags)."""
-    hidden = cache["hidden"]
-    grads["proj_weights"] += hidden.T @ d_emis
+    grads["proj_weights"] += cache["hidden"].T @ d_emis
     grads["proj_bias"] += d_emis.sum(axis=0)
-    # Word vectors are frozen; only the char features take a gradient.
-    d_chars = _bilstm_backward(d_emis @ params["proj_weights"].T, cache["lstm_cache"], params, config.lstm_hidden, grads,
-                               frozen=config.word_dim)
+    # Word vectors are frozen; only the char features, the last F input columns, take a gradient.
+    word_dim = params["lstm.wx"].shape[2] - len(params["conv_bias"])
+    d_chars = _bilstm_backward(d_emis @ params["proj_weights"].T, cache["lstm_cache"], params, grads, frozen=word_dim)
     if cache["mask"] is not None:
-        d_chars *= cache["mask"][:, config.word_dim:]
-    char_features_backward(d_chars, cache["char_cache"], params, config, grads)
+        d_chars *= cache["mask"][:, word_dim:]
+    char_features_backward(d_chars, cache["char_cache"], params, grads)

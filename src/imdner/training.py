@@ -34,7 +34,7 @@ from .embeddings import CharVocab, EmbeddingTable, build_char_vocab
 from .errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError, check_field_types
 from .evaluation import evaluate
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 GRAD_CLIP_NORM = 5.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -126,7 +126,7 @@ def loss_and_gradients(
     ends = np.cumsum(lengths)
     grads["crf.start"] += d_emis[ends - lengths].sum(axis=0)
     grads["crf.end"] += d_emis[ends - 1].sum(axis=0)
-    net_mod.emissions_backward(d_emis, cache, params, config, grads)
+    net_mod.emissions_backward(d_emis, cache, params, grads)
     return total * scale, grads
 
 
@@ -234,7 +234,7 @@ def load_checkpoint(path) -> Checkpoint:
         config = net_mod.NetworkConfig(**_header_field(header, "config", dict))
         labels = LabelSet(tuple(_header_field(header, "labels", list)))
         vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
-        words = tuple(map(str, _header_field(header, "embedding_words", list)))
+        words = _header_field(header, "embedding_words", list)
     except (TypeError, ValueError, ValidationError) as e:
         raise IntegrityError(f"inconsistent checkpoint: {e}") from e
     if labels.num_tags != config.num_tags:
@@ -256,12 +256,14 @@ def load_checkpoint(path) -> Checkpoint:
 
     offsets = np.cumsum([0, *sizes])
     params = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(layout, offsets, offsets[1:])}
-    matrix = params.pop("embeddings.matrix")
+    try:
+        table = EmbeddingTable(words, params.pop("embeddings.matrix"))
+    except ValidationError as e:  # a word that is not a string or repeats an earlier one
+        raise IntegrityError(f"inconsistent checkpoint: {e}") from e
     # The embedding table is left to emissions_forward, which checks the rows a text uses.
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise IntegrityError(f"tensor {name!r} holds NaN or Inf values")
-    table = EmbeddingTable(words, matrix)
     return Checkpoint(params, config, labels, vocab, table, metadata=_header_field(header, "metadata", dict))
 
 

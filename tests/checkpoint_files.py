@@ -30,13 +30,22 @@ def write_checkpoint(path, header, tensors, listing=None):
     path.write_bytes(json.dumps({**header, "tensors": listing}).encode() + b"\n" + payload)
 
 
-def as_version_1(path):
-    """Rewrite the checkpoint at path in format version 1, which also stored
-    an `embedding_dim` header field and a zero `embeddings.unk` vector last."""
+def as_old_version(path, version):
+    """Rewrite the checkpoint at path in format version 1 or 2. Both stored
+    each LSTM direction as its own lstm_fw.* and lstm_bw.* tensors; version 1
+    also stored an `embedding_dim` header field and a zero `embeddings.unk`
+    vector last."""
     header, tensors = read_checkpoint(path)
-    dim = header["config"]["word_dim"]
-    write_checkpoint(path, {**header, "format_version": 1, "embedding_dim": dim},
-                     {**tensors, "embeddings.unk": np.zeros(dim)})
+    names = list(tensors)
+    at = names.index("lstm.wx")
+    split = {f"{direction}.{part}": tensors[f"lstm.{part}"][d]
+             for d, direction in enumerate(("lstm_fw", "lstm_bw")) for part in ("wx", "wh", "b")}
+    tensors = {**{n: tensors[n] for n in names[:at]}, **split, **{n: tensors[n] for n in names[at + 3:]}}
+    header = {**header, "format_version": version}
+    if version == 1:
+        header["embedding_dim"] = header["config"]["word_dim"]
+        tensors["embeddings.unk"] = np.zeros(header["embedding_dim"])
+    write_checkpoint(path, header, tensors)
 
 
 def _cut_crf_to_five_tags(header, tensors):
@@ -70,7 +79,7 @@ def _swapped_with_the_next(header, tensors):
 # id -> (edit of (header, tensors) in place, returning the tensor listing to
 # write or None for each tensor with its shape; what the error message names)
 DAMAGED = {
-    "lstm-wh-cut-to-5-columns": (lambda h, t: t.update({"lstm_fw.wh": t["lstm_fw.wh"][:, :5]}), "lstm_fw.wh"),
+    "lstm-wh-cut-to-5-columns": (lambda h, t: t.update({"lstm.wh": t["lstm.wh"][:, :, :5]}), "lstm.wh"),
     "5-char-rows-for-a-larger-vocab": (lambda h, t: t.update({"char_embeddings": t["char_embeddings"][:5]}),
                                        "char_embeddings"),
     "conv-filters-of-width-2": (lambda h, t: t.update({"conv_filters": t["conv_filters"][:, :2]}), "conv_filters"),

@@ -1,13 +1,23 @@
-"""Exhaustive-enumeration oracle for the linear-chain CRF in imdner.crf, and
-the log Z and marginals that imdner.crf.nll_gradients implies."""
+"""Exhaustive-enumeration oracle for the linear-chain CRF in imdner.crf, the
+score of one tag path, and the log Z and marginals that
+imdner.crf.nll_gradients implies."""
 
 import itertools
 
 import numpy as np
 from scipy.special import logsumexp
 
-from imdner.crf import PathScore, nll_gradients, path_score
+from imdner.crf import PathScore, nll_gradients
 from imdner.errors import ValidationError
+
+
+def path_score(emissions: np.ndarray, params: dict[str, np.ndarray], tags) -> float:
+    """Unnormalized log-score of one tag sequence."""
+    tags = np.asarray(list(tags), dtype=int)
+    s = params["crf.start"][tags[0]] + params["crf.end"][tags[-1]]
+    s += emissions[np.arange(len(tags)), tags].sum()
+    s += params["crf.transitions"][tags[:-1], tags[1:]].sum()
+    return float(s)
 
 
 def brute_force_oracle(emissions: np.ndarray, crf: dict[str, np.ndarray]):

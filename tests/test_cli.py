@@ -15,7 +15,7 @@ import imdner
 from imdner import training
 from imdner.cli import main
 
-from checkpoint_files import DAMAGED, as_version_1, damage, read_checkpoint, write_checkpoint
+from checkpoint_files import DAMAGED, as_old_version, damage, read_checkpoint, write_checkpoint
 
 TINY_CONFIG = {
     "epochs": 2,
@@ -219,11 +219,12 @@ def _bad_input_case(case, data_dir, tmp_path):
     train = ["train", "--corpus", str(data_dir / "toy_corpus.conll"),
              "--embeddings", str(data_dir / "test_embeddings.txt"), "--out", str(tmp_path / "m.ckpt")]
     bad = tmp_path / "bad"
+    version = b'{"format_version": %d' % training.CHECKPOINT_VERSION
     if case == "checkpoint-header-without-tensors":
-        bad.write_bytes(b'{"format_version": 2}\n')
+        bad.write_bytes(version + b'}\n')
         return ["eval", "--model", str(bad), "--corpus", str(data_dir / "toy_corpus.conll")]
     if case == "checkpoint-header-nested-too-deep":  # deeper than Python's recursion limit
-        bad.write_bytes(b'{"format_version": 2, "tensors": [' + b"[" * 1200 + b"]" * 1200 + b"]}\n")
+        bad.write_bytes(version + b', "tensors": [' + b"[" * 1200 + b"]" * 1200 + b"]}\n")
         return ["eval", "--model", str(bad), "--corpus", str(data_dir / "toy_corpus.conll")]
     if case == "config-nested-too-deep":
         bad.write_text("[" * 5000 + "]" * 5000)
@@ -302,23 +303,25 @@ def test_damaged_checkpoint_is_one_error_line_naming_it(case, command, model_pat
 
 
 @pytest.mark.parametrize("command", ["predict", "eval"])
-def test_a_version_1_checkpoint_is_one_error_line_naming_both_versions(command, model_path, data_dir, tmp_path,
-                                                                       capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_old_checkpoint_version_is_one_error_line_naming_both_versions(version, command, model_path, data_dir,
+                                                                          tmp_path, capsys):
     old = tmp_path / "old.ckpt"
     old.write_bytes(model_path.read_bytes())
-    as_version_1(old)
+    as_old_version(old, version)
     corpus = str(data_dir / "toy_corpus.conll")
     if command == "predict":
         rc = main(["predict", "--model", str(old), "--input", corpus, "--out", str(tmp_path / "out.conll")])
     else:
         rc = main(["eval", "--model", str(old), "--corpus", corpus])
     assert rc == 1
-    assert capsys.readouterr().err == "error: checkpoint format version 1 is not supported (this build reads version 2)\n"
+    assert capsys.readouterr().err == (f"error: checkpoint format version {version} is not supported "
+                                       "(this build reads version 3)\n")
 
 
 @pytest.mark.parametrize("command", ["predict", "eval"])
 @pytest.mark.parametrize("tensor, value", [
-    ("crf.transitions", 3e38), ("lstm_bw.wh", float("inf")), ("proj_bias", float("nan")), ("proj_weights", 3e38),
+    ("crf.transitions", 3e38), ("lstm.wh", float("inf")), ("proj_bias", float("nan")), ("proj_weights", 3e38),
     ("char_embeddings", float("inf")), ("conv_bias", -float("inf")), ("embeddings.matrix", float("inf")),
 ])
 def test_overflowing_or_non_finite_weights_give_a_result_or_one_error_line(tensor, value, command, model_path,

@@ -5,7 +5,7 @@ from imdner import crf as C
 from imdner.corpus import LabelSet, validate_bio
 from imdner.errors import NumericError, ValidationError
 
-from crf_oracle import brute_force_oracle, log_z_and_marginals
+from crf_oracle import brute_force_oracle, log_z_and_marginals, path_score
 
 
 def random_instance(rng, T=None, K=3):
@@ -71,7 +71,7 @@ class TestNll:
         emis, params = random_instance(rng, T=3, K=3)
         gold = [1, 0, 2]
         lz, _, _ = brute_force_oracle(emis, params)
-        expected = lz - C.path_score(emis, params, gold)
+        expected = lz - path_score(emis, params, gold)
         assert _nll(emis, params, gold) == pytest.approx(expected, abs=1e-9)
 
     def test_always_nonnegative(self):
@@ -111,7 +111,7 @@ class TestViterbi:
         v = C.viterbi(emis, params)
         for _ in range(100):
             path = list(rng.integers(0, 4, size=6))
-            assert v.score >= C.path_score(emis, params, path) - 1e-12
+            assert v.score >= path_score(emis, params, path) - 1e-12
 
     def test_rejects_non_finite(self):
         emis, params = zeros_instance(2, 2)

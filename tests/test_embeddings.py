@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from imdner.corpus import parse_conll
-from imdner.embeddings import CharVocab, build_char_vocab, load_embeddings
+from imdner.embeddings import CharVocab, EmbeddingTable, build_char_vocab, load_embeddings
 from imdner.errors import FormatError, ParseError, ValidationError
 
 
@@ -135,3 +135,9 @@ class TestCharVocab:
     def test_duplicate_chars_rejected(self):
         with pytest.raises(ValidationError):
             CharVocab(("a", "a"))
+
+
+class TestEmbeddingTable:
+    def test_duplicate_words_rejected(self):
+        with pytest.raises(ValidationError, match="word 2, 'rash', is not a string or repeats"):
+            EmbeddingTable(("rash", "fever", "rash"), np.zeros((3, 2)))

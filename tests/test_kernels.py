@@ -23,6 +23,8 @@ from imdner import network as N
 from imdner.embeddings import CharVocab, EmbeddingTable
 from imdner.errors import NumericError
 
+from crf_oracle import path_score
+
 RTOL = 1e-10
 
 
@@ -30,14 +32,16 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def reference_lstm_forward(xs, params, prefix, hidden):
+def reference_lstm_forward(xs, params, d, hidden):
+    """One direction, d (0 forward, 1 backward), over xs, with its slice of the stacked LSTM tensors."""
+    wx, wh, b = (params[f"lstm.{part}"][d] for part in ("wx", "wh", "b"))
     T = xs.shape[0]
     h = np.zeros(hidden)
     c = np.zeros(hidden)
     hs = np.zeros((T, hidden))
     caches = []
     for t in range(T):
-        z = params[f"{prefix}.wx"] @ xs[t] + params[f"{prefix}.wh"] @ h + params[f"{prefix}.b"]
+        z = wx @ xs[t] + wh @ h + b
         i = _sigmoid(z[:hidden])
         f = _sigmoid(z[hidden: 2 * hidden])
         g = np.tanh(z[2 * hidden: 3 * hidden])
@@ -51,9 +55,11 @@ def reference_lstm_forward(xs, params, prefix, hidden):
     return hs, caches
 
 
-def reference_lstm_backward(d_hs, caches, params, hidden, prefix, grads):
+def reference_lstm_backward(d_hs, caches, params, hidden, d, grads):
+    """One direction's BPTT; adds to direction d's slice of the stacked LSTM gradients."""
+    wx, wh = params["lstm.wx"][d], params["lstm.wh"][d]
     T = d_hs.shape[0]
-    d_xs = np.zeros((T, params[f"{prefix}.wx"].shape[1]))
+    d_xs = np.zeros((T, wx.shape[1]))
     dh_next = np.zeros(hidden)
     dc_next = np.zeros(hidden)
     for t in range(T - 1, -1, -1):
@@ -65,11 +71,11 @@ def reference_lstm_backward(d_hs, caches, params, hidden, prefix, grads):
         df = dc * cc["c_prev"] * cc["f"] * (1.0 - cc["f"])
         dg = dc * cc["i"] * (1.0 - cc["g"] ** 2)
         dz = np.concatenate([di, df, dg, do])
-        grads[f"{prefix}.wx"] += np.outer(dz, cc["x"])
-        grads[f"{prefix}.wh"] += np.outer(dz, cc["h_prev"])
-        grads[f"{prefix}.b"] += dz
-        d_xs[t] = params[f"{prefix}.wx"].T @ dz
-        dh_next = params[f"{prefix}.wh"].T @ dz
+        grads["lstm.wx"][d] += np.outer(dz, cc["x"])
+        grads["lstm.wh"][d] += np.outer(dz, cc["h_prev"])
+        grads["lstm.b"][d] += dz
+        d_xs[t] = wx.T @ dz
+        dh_next = wh.T @ dz
         dc_next = dc * cc["f"]
     return d_xs
 
@@ -110,16 +116,16 @@ def reference_sentence(texts, table, params, config, vocab, mask, d_emis, grads)
     chars = [reference_char_features_forward(t, vocab, params, config) for t in texts]
     xs = np.concatenate([np.stack([table.lookup(t) for t in texts]), np.stack([f for f, _ in chars])], axis=1)
     xs = xs * mask
-    hs_fw, cache_fw = reference_lstm_forward(xs, params, "lstm_fw", h)
-    hs_bw, cache_bw = reference_lstm_forward(xs[::-1], params, "lstm_bw", h)
+    hs_fw, cache_fw = reference_lstm_forward(xs, params, 0, h)
+    hs_bw, cache_bw = reference_lstm_forward(xs[::-1], params, 1, h)
     hidden = np.concatenate([hs_fw, hs_bw[::-1]], axis=1)
     emis = hidden @ params["proj_weights"] + params["proj_bias"]
 
     grads["proj_weights"] += hidden.T @ d_emis
     grads["proj_bias"] += d_emis.sum(axis=0)
     d_hidden = d_emis @ params["proj_weights"].T
-    d_xs = reference_lstm_backward(d_hidden[:, :h], cache_fw, params, h, "lstm_fw", grads)
-    d_xs += reference_lstm_backward(d_hidden[::-1, h:], cache_bw, params, h, "lstm_bw", grads)[::-1]
+    d_xs = reference_lstm_backward(d_hidden[:, :h], cache_fw, params, h, 0, grads)
+    d_xs += reference_lstm_backward(d_hidden[::-1, h:], cache_bw, params, h, 1, grads)[::-1]
     d_xs = d_xs * mask
     for t, (_, cache) in enumerate(chars):
         reference_char_features_backward(d_xs[t, config.word_dim:], cache, params, config, grads)
@@ -159,7 +165,7 @@ def test_hoisted_bilstm_matches_per_step_reference(dropout_seed):
     vocab, table, params, texts, d_emis = _paper_setup()
     emis, cache = N.emissions_forward(texts, LENGTHS, table, params, PAPER, vocab, dropout_seed)
     grads = _zero_grads(params)
-    N.emissions_backward(d_emis, cache, params, PAPER, grads)
+    N.emissions_backward(d_emis, cache, params, grads)
 
     shape = (len(texts), PAPER.lstm_input_dim)
     if dropout_seed is None:
@@ -187,30 +193,27 @@ def test_hoisted_lstm_input_gradients_match_reference():
     columns; the first `frozen` (word-vector) columns take none."""
     rng = np.random.default_rng(3)
     hidden, d_in, frozen = 200, 230, 200
-    params = {}
-    for prefix in N.DIRECTIONS:
-        params[f"{prefix}.wx"] = rng.uniform(-0.1, 0.1, (4 * hidden, d_in))
-        params[f"{prefix}.wh"] = rng.uniform(-0.1, 0.1, (4 * hidden, hidden))
-        params[f"{prefix}.b"] = rng.uniform(-0.1, 0.1, 4 * hidden)
+    params = {"lstm.wx": rng.uniform(-0.1, 0.1, (2, 4 * hidden, d_in)),
+              "lstm.wh": rng.uniform(-0.1, 0.1, (2, 4 * hidden, hidden)),
+              "lstm.b": rng.uniform(-0.1, 0.1, (2, 4 * hidden))}
     xs = rng.normal(size=(sum(LENGTHS), d_in))
     d_hs = rng.normal(size=(sum(LENGTHS), 2 * hidden))
 
-    hs, cache = N._bilstm_forward(xs, np.array(LENGTHS), params, hidden)
+    hs, cache = N._bilstm_forward(xs, np.array(LENGTHS), params)
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     ref_grads = {name: np.zeros_like(arr) for name, arr in grads.items()}
-    d_xs = N._bilstm_backward(d_hs, cache, params, hidden, grads, frozen)
+    d_xs = N._bilstm_backward(d_hs, cache, params, grads, frozen)
     assert d_xs.shape == (len(xs), d_in - frozen)
 
     end = 0
     for n in LENGTHS:
         rows = slice(end, end + n)
         end += n
-        ref_fw, cache_fw = reference_lstm_forward(xs[rows], params, "lstm_fw", hidden)
-        ref_bw, cache_bw = reference_lstm_forward(xs[rows][::-1], params, "lstm_bw", hidden)
+        ref_fw, cache_fw = reference_lstm_forward(xs[rows], params, 0, hidden)
+        ref_bw, cache_bw = reference_lstm_forward(xs[rows][::-1], params, 1, hidden)
         assert_close(hs[rows], np.concatenate([ref_fw, ref_bw[::-1]], axis=1))
-        ref_d_xs = reference_lstm_backward(d_hs[rows, :hidden], cache_fw, params, hidden, "lstm_fw", ref_grads)
-        ref_d_xs += reference_lstm_backward(d_hs[rows, hidden:][::-1], cache_bw, params, hidden, "lstm_bw",
-                                            ref_grads)[::-1]
+        ref_d_xs = reference_lstm_backward(d_hs[rows, :hidden], cache_fw, params, hidden, 0, ref_grads)
+        ref_d_xs += reference_lstm_backward(d_hs[rows, hidden:][::-1], cache_bw, params, hidden, 1, ref_grads)[::-1]
         assert_close(d_xs[rows], ref_d_xs[:, frozen:])
     for name, ref in ref_grads.items():
         assert_close(grads[name], ref)
@@ -296,7 +299,7 @@ def test_nll_gradients_match_scipy(T):
     for emis, params, gold in _crf_cases(T, scale=1.0):
         _, _, log_z = reference_alphas_betas(emis, params)
         value, *got = C.nll_gradients(emis, params, gold)
-        path = C.path_score(emis, params, gold)
+        path = path_score(emis, params, gold)
         assert value + path == pytest.approx(float(log_z), rel=RTOL)
         assert value == pytest.approx(float(log_z) - path, rel=RTOL)
         # got[0] is d nll / d emissions = marginals - onehot(gold).

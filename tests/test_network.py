@@ -34,9 +34,9 @@ def emissions(texts, table, params, config, vocab, dropout_seed=None):
     return N.emissions_forward(texts, [len(texts)], table, params, config, vocab, dropout_seed)[0]
 
 
-def char_features(text, vocab, params, config):
+def char_features(text, vocab, params):
     """Char features of one token through the batched forward pass."""
-    return N.char_features_forward([text], vocab, params, config)[0][0]
+    return N.char_features_forward([text], vocab, params)[0][0]
 
 
 def zero_params(config, vocab):
@@ -100,15 +100,15 @@ class TestCharFeatures:
     def test_zero_parameters_give_zero_vector(self, vocab):
         config = make_config()
         params = zero_params(config, vocab)
-        feat = char_features("a", vocab, params, config)
+        feat = char_features("a", vocab, params)
         assert np.array_equal(feat, np.zeros(config.char_filter_count))
 
     def test_identical_tokens_identical_features(self, vocab):
         config = make_config()
         rng = np.random.default_rng(1)
         params = N.init_network_params(config, len(vocab), rng)
-        f1 = char_features("fever", vocab, params, config)
-        f2 = char_features("fever", vocab, params, config)
+        f1 = char_features("fever", vocab, params)
+        f2 = char_features("fever", vocab, params)
         assert np.array_equal(f1, f2)
 
     def test_single_filter_detects_a_trigram(self, vocab):
@@ -121,7 +121,7 @@ class TestCharFeatures:
         trigram = [vocab.encode("eve")[i] for i in range(3)]
         params["conv_filters"][0] = params["char_embeddings"][trigram]
 
-        feat = char_features("fever", vocab, params, config)
+        feat = char_features("fever", vocab, params)
 
         # Hand convolution over the 3 windows of "fever".
         emb = params["char_embeddings"][vocab.encode("fever")]
@@ -138,7 +138,7 @@ class TestCharFeatures:
         config = make_config()
         rng = np.random.default_rng(3)
         params = N.init_network_params(config, len(vocab), rng)
-        feat = char_features("a", vocab, params, config)
+        feat = char_features("a", vocab, params)
         assert feat.shape == (config.char_filter_count,)
         assert np.all(np.isfinite(feat))
 
@@ -146,7 +146,7 @@ class TestCharFeatures:
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(3))
         with pytest.raises(ValidationError, match="not a string"):
-            N.char_features_forward("fever", vocab, params, config)
+            N.char_features_forward("fever", vocab, params)
 
     def test_batched_tokens_match_each_token_alone(self, vocab):
         # Tokens of 1, 2 and 20 chars: the short ones have one window, the
@@ -156,11 +156,11 @@ class TestCharFeatures:
         params = N.init_network_params(config, len(vocab), rng)
         params["char_embeddings"][...] = rng.normal(size=params["char_embeddings"].shape)
         tokens = ["a", "ab", "abcdefghijklmnopqrst", "a"]
-        feats, _ = N.char_features_forward(tokens, vocab, params, config)
+        feats, _ = N.char_features_forward(tokens, vocab, params)
         assert feats.shape == (4, 8)
         for token, feat in zip(tokens, feats):
             # One GEMM over more rows may round the last bit differently.
-            np.testing.assert_allclose(feat, char_features(token, vocab, params, config), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(feat, char_features(token, vocab, params), rtol=1e-12, atol=1e-15)
 
 
 class TestEmissions:
@@ -190,12 +190,9 @@ class TestEmissions:
         wx = np.array([[0.5, 0.0], [-0.3, 0.0], [0.8, 0.0], [0.2, 0.0]])
         wh = np.array([[0.1], [0.4], [-0.2], [0.6]])
         b = np.array([0.05, -0.1, 0.2, 0.3])
-        params["lstm_fw.wx"][...] = wx
-        params["lstm_fw.wh"][...] = wh
-        params["lstm_fw.b"][...] = b
-        params["lstm_bw.wx"][...] = 2 * wx
-        params["lstm_bw.wh"][...] = -wh
-        params["lstm_bw.b"][...] = b / 2
+        params["lstm.wx"][...] = [wx, 2 * wx]  # [forward, backward]
+        params["lstm.wh"][...] = [wh, -wh]
+        params["lstm.b"][...] = [b, b / 2]
         params["proj_weights"][...] = np.array([[1.0, -1.0], [0.5, 2.0]])
         params["proj_bias"][...] = np.array([0.1, -0.2])
 

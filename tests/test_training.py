@@ -106,7 +106,7 @@ class TestLossAndGradients:
         _, grads = T.loss_and_gradients(sents, params, toy_table, config, vocab, labels)
         eps = 1e-4
         rng = np.random.default_rng(1)
-        for name in ("lstm_fw.wx", "conv_filters", "crf.transitions", "proj_weights"):
+        for name in ("lstm.wx", "conv_filters", "crf.transitions", "proj_weights"):
             arr = params[name]
             flat_i = int(rng.integers(arr.size))
             ix = np.unravel_index(flat_i, arr.shape)
@@ -276,7 +276,7 @@ class TestTrain:
             loss, grads = real(*args, **kwargs)
             calls.append(1)
             if len(calls) == 3:
-                grads["lstm_fw.wh"][0, 0] = np.nan
+                grads["lstm.wh"][0, 0, 0] = np.nan
             return loss, grads
 
         monkeypatch.setattr(T, "loss_and_gradients", nan_on_third_batch)
@@ -490,9 +490,9 @@ class TestTrainingPrecision:
         for dtype in (np.float32, np.float64):
             monkeypatch.setattr(T, "WEIGHT_DTYPE", dtype)
             result = T.train(train_docs, dev_docs, table, config, tc, labels)
-            assert result.checkpoint.params["lstm_fw.wx"].dtype == np.float32
+            assert result.checkpoint.params["lstm.wx"].dtype == np.float32
             f1[dtype] = result.history[-1].dev_f1
-        # Both reach 0.9368 on this corpus; an untrained model scores about 0.
+        # Both reach 0.9346 on this corpus; an untrained model scores about 0.
         assert f1[np.float32] >= 0.90
         assert abs(f1[np.float32] - f1[np.float64]) <= 0.02
 
@@ -534,9 +534,9 @@ class TestCheckpoint:
         T.save_checkpoint(result.checkpoint, path)
         data = path.read_bytes()
         head, _, rest = data.partition(b"\n")
-        head = head.replace(b'"format_version": 2', b'"format_version": 999')
+        head = head.replace(b'"format_version": %d' % T.CHECKPOINT_VERSION, b'"format_version": 999')
         path.write_bytes(head + b"\n" + rest)
-        with pytest.raises(UnsupportedVersionError, match="999.*2"):
+        with pytest.raises(UnsupportedVersionError, match=f"999.*{T.CHECKPOINT_VERSION}"):
             T.load_checkpoint(path)
 
     def test_load_keeps_the_table_and_the_weights_float32_aligned_views(self, trained, toy_table, tmp_path):
@@ -601,6 +601,8 @@ class TestCheckpoint:
         pytest.param({"labels": "Symptom"}, id="labels-not-a-list"),
         pytest.param({"char_vocab": None}, id="no-char-vocab"),
         pytest.param({"embedding_words": None}, id="no-embedding-words"),
+        pytest.param({"embedding_words": lambda words: [123, *words[1:]]}, id="embedding-word-not-a-string"),
+        pytest.param({"embedding_words": lambda words: [*words[:-1], "rash"]}, id="embedding-word-repeated"),
         pytest.param({"config": lambda config: {**config, "word_dim": 9}}, id="word-dim-not-the-matrix-width"),
         pytest.param({"metadata": None}, id="no-metadata"),
     ])

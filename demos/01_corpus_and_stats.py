@@ -35,7 +35,7 @@ def main():
     for span in spans:
         words = " ".join(t.text for t in first.tokens[span.start : span.end])
         print(f"  entity: {span.label!r} -> {words!r} [{span.start}:{span.end})")
-    assert spans_to_tags(len(first), spans) == first.tags  # lossless round trip
+    assert tuple(spans_to_tags(len(first), spans)) == first.tags  # lossless round trip
 
     # corpus_stats tallies documents, sentences, tokens, and entity counts.
     stats = corpus_stats(docs)

@@ -1,13 +1,16 @@
 """Corpus model: tokens, BIO tags, entity spans, CoNLL I/O, splits and stats.
 
 All values are plain frozen dataclasses, immutable after construction and
-safe to share across threads.
+safe to share across threads. A Sentence holds its tokens as two tuples of
+str, `texts` and `tags`, not as one Token object per token, so a parsed
+corpus leaves about one garbage-collected object per sentence.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -136,39 +139,47 @@ def _check_text(text):
         raise ValidationError(f"token text must be non-empty and whitespace-free: {text!r}")
 
 
-def _parsed_token(text: str, tag: str) -> Token:
-    """A Token whose tag was just found in a label set's tag index, so it is
-    well formed: only the text is checked, and the tag is not split again."""
-    _check_text(text)
-    token = object.__new__(Token)
-    object.__setattr__(token, "text", text)
-    object.__setattr__(token, "tag", tag)
-    return token
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Sentence:
-    """A BIO-valid token sequence. Its (start, end, label) spans are decoded once,
-    into `span_bounds`, which is not a field: eq, hash and repr see the tokens."""
+    """A BIO-valid token sequence, held as two columns: the token texts and
+    their tags. Its (start, end, label) spans are decoded once, into
+    `span_bounds`, which is not a field: eq and hash see the two columns.
 
-    tokens: tuple[Token, ...]
+    `Sentence(tokens)` builds one from Token objects, and `tokens` rebuilds
+    them; both are for callers outside the hot paths, which read the columns.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
+    texts: tuple[str, ...]
+    tags: tuple[str, ...]
+
+    def __init__(self, tokens):
+        tokens = tuple(tokens)
+        self._set_columns(tuple(t.text for t in tokens), tuple(t.tag for t in tokens))
+
+    @classmethod
+    def _from_columns(cls, texts: tuple[str, ...], tags: tuple[str, ...]) -> Sentence:
+        """A Sentence from texts that the caller has checked (or built whitespace-
+        free) and well-formed tags; only the BIO structure is checked here."""
+        sent = object.__new__(cls)
+        sent._set_columns(texts, tags)
+        return sent
+
+    def _set_columns(self, texts, tags):
+        if not texts:
             raise ValidationError("sentence must contain at least one token")
-        object.__setattr__(self, "span_bounds", validate_bio(self.tags))
+        object.__setattr__(self, "texts", texts)
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "span_bounds", validate_bio(tags))
 
     def __len__(self):
-        return len(self.tokens)
+        return len(self.texts)
+
+    def __repr__(self):
+        return f"Sentence(tokens={self.tokens!r})"
 
     @property
-    def texts(self):
-        return [t.text for t in self.tokens]
-
-    @property
-    def tags(self):
-        return [t.tag for t in self.tokens]
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(map(Token, self.texts, self.tags))
 
 
 @dataclass(frozen=True)
@@ -204,11 +215,11 @@ class CorpusStats:
     entity_counts: dict[str, int] = field(default_factory=dict)
 
 
-def tags_to_spans(sentence: Sentence | list[str], sentence_index: int = 0) -> list[EntitySpan]:
+def tags_to_spans(sentence: Sentence | Sequence[str], sentence_index: int = 0) -> list[EntitySpan]:
     """Decode BIO tags into sorted, non-overlapping spans: a Sentence's own
-    `span_bounds`, or a walk over a tag list. A list need not be BIO-valid:
-    an I- that continues nothing opens no span and closes the open one."""
-    bounds = sentence.span_bounds if isinstance(sentence, Sentence) else _bio_walk(list(sentence))[0]
+    `span_bounds`, or a walk over a sequence of tags. That sequence need not be
+    BIO-valid: an I- that continues nothing opens no span and closes the open one."""
+    bounds = sentence.span_bounds if isinstance(sentence, Sentence) else _bio_walk(sentence)[0]
     return [EntitySpan(sentence_index, start, end, label) for start, end, label in bounds]
 
 
@@ -250,16 +261,17 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
 
     groups: list[list[Sentence]] = []
     cur_sentences: list[Sentence] = []
-    cur_tokens: list[Token] = []
+    cur_texts: list[str] = []
+    cur_tags: list[str] = []
 
     def close_sentence(line_no):
-        nonlocal cur_tokens
-        if cur_tokens:
+        if cur_texts:
             try:
-                cur_sentences.append(Sentence(tuple(cur_tokens)))
+                cur_sentences.append(Sentence._from_columns(tuple(cur_texts), tuple(cur_tags)))
             except TaggingError as e:
                 raise TaggingError(f"{e} ({name} near line {line_no})") from e
-            cur_tokens = []
+            cur_texts.clear()
+            cur_tags.clear()
 
     def close_document():
         nonlocal cur_sentences
@@ -284,9 +296,11 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
             _split_tag(tag)  # raises on a malformed tag
             raise SchemaError(f"unknown label {tag[2:]!r} in tag {tag!r}")
         try:
-            cur_tokens.append(_parsed_token(text, tag))
+            _check_text(text)
         except ValidationError as e:
             raise ParseError(str(e), line=line_no) from e
+        cur_texts.append(text)
+        cur_tags.append(tag)
     close_sentence(line_no)
     close_document()
 
@@ -302,8 +316,7 @@ def serialize_conll(docs: list[Document]) -> str:
         if d > 0:
             chunks.append(f"{DOCSTART}\n\n")
         for sent in doc.sentences:
-            for tok in sent.tokens:
-                chunks.append(f"{tok.text}\t{tok.tag}\n")
+            chunks.extend(f"{text}\t{tag}\n" for text, tag in zip(sent.texts, sent.tags))
             chunks.append("\n")
     return "".join(chunks)
 
@@ -366,8 +379,8 @@ def tokenize_raw(text: bytes | str) -> list[Sentence]:
         words = chunk.split()
         if not words:
             continue
-        tokens = []
-        for w in words:
-            tokens.extend(Token(p) for p in _split_token(w))
-        sentences.append(Sentence(tuple(tokens)))
+        # Pieces of whitespace-split words are whitespace-free and non-empty. A
+        # list first, so the tuple is allocated once (see predict_documents).
+        texts = tuple([p for w in words for p in _split_token(w)])
+        sentences.append(Sentence._from_columns(texts, ("O",) * len(texts)))
     return sentences

@@ -140,8 +140,7 @@ def build_char_vocab(docs: list[Document]) -> CharVocab:
     chars = set()
     for doc in docs:
         for sent in doc.sentences:
-            for tok in sent.tokens:
-                chars.update(tok.text)
+            chars.update(*sent.texts)
     if not chars:
         raise ValidationError("cannot build a character vocabulary from an empty corpus")
     return CharVocab(tuple(sorted(chars)))

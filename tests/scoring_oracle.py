@@ -35,7 +35,7 @@ def span_sets(docs: list[Document]) -> set:
     out = set()
     for d, doc in enumerate(docs):
         for s, sent in enumerate(doc.sentences):
-            tags = sent.tags + ["O"]  # the sentinel closes a span at the end
+            tags = [*sent.tags, "O"]  # the sentinel closes a span at the end
             open_start, open_label = None, None
             for i, tag in enumerate(tags):
                 prefix, label = (tag, None) if tag == "O" else tag.split("-", 1)

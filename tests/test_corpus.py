@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from imdner import corpus as corpus_module
 from imdner.corpus import (
     DEFAULT_LABELS,
+    Document,
     EntitySpan,
     LabelSet,
     Sentence,
@@ -24,6 +27,23 @@ from imdner.corpus import (
 from imdner.errors import ParseError, SchemaError, TaggingError, ValidationError
 
 _TAG_LISTS = st.lists(st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B"]), max_size=30)
+# Token texts that survive a CoNLL round trip: whitespace-free, and no BOM,
+# which parse_conll strips from the start of its input.
+_TEXTS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\ufeff"), min_size=1, max_size=6)
+_TEXTS = _TEXTS.filter(lambda text: text.split() == [text])
+
+
+@st.composite
+def bio_sentences(draw):
+    """A Sentence of valid BIO tags over two of the default labels."""
+    tags = []
+    for _ in range(draw(st.integers(1, 20))):
+        choices = ["O", "B-Symptom", "B-Treatment"]
+        if tags and tags[-1] != "O":
+            choices.append("I-" + tags[-1][2:])
+        tags.append(draw(st.sampled_from(choices)))
+    texts = draw(st.lists(_TEXTS, min_size=len(tags), max_size=len(tags)))
+    return Sentence(tuple(map(Token, texts, tags)))
 
 
 def per_tag_validate_bio(tags):
@@ -155,6 +175,33 @@ class TestParseConll:
         assert [[s.tags for s in d.sentences] for d in again] == [
             [s.tags for s in d.sentences] for d in toy_corpus
         ]
+
+    def test_a_parsed_corpus_leaves_about_one_tracked_object_per_sentence(self):
+        rng = random.Random(11)
+        lines, tokens = [], 0
+        while tokens < 20_000:
+            tag = "O"
+            for _ in range(rng.randint(3, 40)):
+                if rng.random() < 0.15:
+                    tag = "B-" + rng.choice(DEFAULT_LABELS)
+                elif tag == "O" or rng.random() < 0.5:
+                    tag = "O"
+                else:
+                    tag = "I-" + tag[2:]
+                lines.append(f"w{rng.randrange(500)}\t{tag}")
+                tokens += 1
+            lines.append("")
+        text = "\n".join(lines)
+        gc.collect()
+        gc.collect()
+        before = len(gc.get_objects())
+        docs = parse_conll(text)
+        gc.collect()
+        gc.collect()
+        after = len(gc.get_objects())
+        assert sum(len(s) for d in docs for s in d.sentences) == tokens
+        # One Token object per token made this 1.10.
+        assert (after - before) / tokens < 0.1
 
 
 class TestSpanCodec:
@@ -307,7 +354,7 @@ class TestTokenizeRaw:
     def test_simple_sentence(self):
         sents = tokenize_raw("Fever persisted.")
         assert len(sents) == 1
-        assert sents[0].texts == ["Fever", "persisted", "."]
+        assert sents[0].texts == ("Fever", "persisted", ".")
         assert all(t.tag == "O" for t in sents[0].tokens)
 
     def test_punctuation_and_hyphens(self):
@@ -372,6 +419,44 @@ class TestTypes:
         parse_conll("a\tO\nb\tB-Symptom\nc\tI-Symptom\nd\tO\n\ne\tO\n")
         assert calls == ["B-Symptom"]  # the walk splits a tag only where a span may open
 
+    @given(st.lists(bio_sentences(), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_built_and_parsed_sentences_are_the_same_value(self, sentences):
+        (doc,) = parse_conll(serialize_conll([Document("d", tuple(sentences))]), name="d")
+        for built, parsed in zip(sentences, doc.sentences, strict=True):
+            assert parsed == built and hash(parsed) == hash(built)
+            assert repr(parsed) == repr(built)
+            assert parsed.tokens == built.tokens == tuple(map(Token, built.texts, built.tags))
+            for sent in (built, parsed):
+                assert type(sent.texts) is tuple and type(sent.tags) is tuple
+                assert all(type(value) is str for value in sent.texts + sent.tags)
+                assert [f.name for f in dataclasses.fields(sent)] == ["texts", "tags"]
+
+    @given(st.lists(bio_sentences(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_bad_text_or_tag_raises_the_same_error_built_or_parsed(self, sentences, data):
+        j = data.draw(st.integers(0, len(sentences) - 1))
+        i = data.draw(st.integers(0, len(sentences[j]) - 1))
+        tokens = list(sentences[j].tokens)
+        first_line = sum(len(s) + 1 for s in sentences[:j]) + 1
+        name, text, tag = "notes.conll", tokens[i].text, tokens[i].tag
+        if data.draw(st.booleans()):
+            text = data.draw(st.sampled_from(["", "two words", "\u00a0", "a\u2003b"]))
+            with pytest.raises(ValidationError, match="token text must be non-empty"):
+                Token(text, tag)
+            error, message = ParseError, rf"^line {first_line + i}: token text must be non-empty"
+        else:
+            prev = tokens[i - 1].tag if i else "O"
+            tag = "I-Treatment" if prev not in ("B-Treatment", "I-Treatment") else "I-Symptom"
+            message = rf"^{tag} follows {prev} at token {i}"
+            with pytest.raises(TaggingError, match=message + "$"):
+                Sentence((*tokens[:i], Token(text, tag), *tokens[i + 1:]))
+            error, message = TaggingError, rf"{message} \({name} near line {first_line + len(tokens)}\)$"
+        lines = serialize_conll([Document("d", tuple(sentences))]).split("\n")
+        lines[first_line + i - 1] = f"{text}\t{tag}"
+        with pytest.raises(error, match=message):
+            parse_conll("\n".join(lines), name=name)
+
     def test_sentence_rejects_invalid_bio(self):
         with pytest.raises(TaggingError):
             Sentence((Token("a", "I-Symptom"),))
@@ -381,7 +466,7 @@ class TestTypes:
     def test_stored_spans_are_read_only_and_not_a_field(self):
         sent = Sentence((Token("a", "B-A"), Token("b", "I-A"), Token("c", "B-B")))
         assert sent.span_bounds == ((0, 2, "A"), (2, 3, "B"))
-        assert [f.name for f in dataclasses.fields(sent)] == ["tokens"]
+        assert [f.name for f in dataclasses.fields(sent)] == ["texts", "tags"]
         assert repr(sent) == f"Sentence(tokens={sent.tokens!r})"
         assert sent == Sentence(sent.tokens) and hash(sent) == hash(Sentence(sent.tokens))
         assert pickle.loads(pickle.dumps(sent)).span_bounds == sent.span_bounds

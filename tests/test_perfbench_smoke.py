@@ -1,8 +1,9 @@
 """Smoke test: every benchmark workload runs end to end at toy sizes, and
 every op passes its output check. train-paper and tag-notes train, save, load
 and predict with a checkpoint; the three scoring workloads check their results
-against the errors planted in their inputs. Also, every function the tracer
-wraps still exists in the package."""
+against the errors planted in their inputs. One traced run goes through the
+tracer's own counters, which read the corpus objects the package returns.
+Also, every function the tracer wraps still exists in the package."""
 
 import functools
 import importlib
@@ -27,6 +28,19 @@ def test_toy_run_has_no_failed_ops(workload):
     assert result["attempted"] > 0
     assert result["failed"] == 0
     assert result["correct"] is True
+
+
+def test_traced_toy_run_has_no_failed_ops_and_finds_every_layer():
+    # The tracer's B-tag counter reads Sentence.tokens, a path no package code takes.
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "breakdown-corpus", "--size", "toy",
+           "--seed", "7", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["attempted"] > 0
+    assert result["failed"] == 0
+    assert result["correct"] is True
+    assert result["metrics"]["trace.missing_layers"]["value"] == 0
 
 
 def test_every_traced_layer_is_an_attribute_of_the_package():

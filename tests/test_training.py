@@ -408,8 +408,8 @@ class TestTrain:
             T.train([Document("d", (sent,))], [], toy_table, config, T.TrainConfig(epochs=1, seed=1), labels)
         assert sorted(len(s) for s in seen) == [88, 512]
         (second,) = [s for s in seen if len(s) == 88]
-        assert second.tags[:4] == ["B-Symptom", "I-Symptom", "I-Symptom", "I-Symptom"]
-        assert second.tags[4:] == ["O"] * 84
+        assert second.tags[:4] == ("B-Symptom", "I-Symptom", "I-Symptom", "I-Symptom")
+        assert second.tags[4:] == ("O",) * 84
 
 
 def learnable_corpus(seed, train_tokens, dev_tokens, dim=16):
@@ -749,7 +749,7 @@ class TestPredict:
         with pytest.warns(UserWarning, match="splitting"):
             (pred,) = T.predict_documents(result.checkpoint, [doc])
         (sent,) = pred.sentences
-        assert sent.texts == ["fever"] * 600
+        assert sent.texts == ("fever",) * 600
         validate_bio(sent.tags)
 
     def test_one_network_forward_for_a_three_sentence_document(self, trained, toy_corpus, monkeypatch):

@@ -4,7 +4,7 @@ Submodules:
     corpus      tokens, BIO tags, spans, CoNLL I/O, splits, stats
     embeddings  word-embedding tables and character vocabularies
     network     emission network (Char-CNN + BiLSTM + projection)
-    crf         linear-chain CRF: NLL and its gradients from one forward-backward, Viterbi, BIO mask
+    crf         linear-chain CRF: NLL and its gradients from one forward-backward, packed Viterbi, BIO mask
     training    gradients, Adam, checkpoints, prediction
     evaluation  strict entity-level metrics, error taxonomy, IAA
     kgraph      rule-based relation extraction and graph export

@@ -83,7 +83,7 @@ def cmd_train(args) -> int:
 
     training.save_checkpoint(result.best_checkpoint, args.out)
     history_path = Path(str(args.out) + ".history.txt")
-    history_path.write_text(training.format_history(result.history))
+    history_path.write_text(training.format_history(result.history), encoding="utf-8")
     print(f"checkpoint written to {args.out}")
     print(f"history written to {history_path}")
     return 0
@@ -99,7 +99,7 @@ def cmd_eval(args) -> int:
     report = evaluation.evaluate(gold, pred, ckpt.label_set)
     sys.stdout.write(evaluation.format_report(report))
     if args.report:
-        Path(args.report).write_text(evaluation.report_to_json(report))
+        Path(args.report).write_text(evaluation.report_to_json(report), encoding="utf-8")
     return 0
 
 
@@ -112,15 +112,15 @@ def cmd_predict(args) -> int:
     else:
         docs = parse_conll(data, ckpt.label_set, name=Path(args.input).name) if data.strip() else []
     predicted = training.predict_documents(ckpt, docs)
-    Path(args.out).write_text(serialize_conll(predicted))
+    Path(args.out).write_text(serialize_conll(predicted), encoding="utf-8")
     return 0
 
 
 def cmd_split(args) -> int:
     docs = _parse_corpus(args.corpus)
     train, test = split_corpus(docs, args.test_fraction, args.seed)
-    Path(args.train_out).write_text(serialize_conll(train))
-    Path(args.test_out).write_text(serialize_conll(test))
+    Path(args.train_out).write_text(serialize_conll(train), encoding="utf-8")
+    Path(args.test_out).write_text(serialize_conll(test), encoding="utf-8")
     print(f"split {len(docs)} documents into {len(train)} train / {len(test)} test")
     return 0
 
@@ -136,7 +136,7 @@ def cmd_stats(args) -> int:
         out.append(f"{label}\t{stats.entity_counts[label]}")
     text = "\n".join(out) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

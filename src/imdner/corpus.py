@@ -318,7 +318,9 @@ def serialize_conll(docs: list[Document]) -> str:
         for sent in doc.sentences:
             chunks.extend(f"{text}\t{tag}\n" for text, tag in zip(sent.texts, sent.tags))
             chunks.append("\n")
-    return "".join(chunks)
+    text = "".join(chunks)
+    # decode_text strips one leading byte-order mark, so a text that starts with U+FEFF gets one in front.
+    return "\ufeff" + text if text.startswith("\ufeff") else text
 
 
 def split_corpus(docs: list[Document], test_fraction: float, seed: int):

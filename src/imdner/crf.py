@@ -4,18 +4,18 @@ Its tensors live in the model's one weight dict under the names param_shapes
 declares: crf.transitions[i, j] scores tag i -> tag j, crf.start and crf.end
 the first and last tag.
 
-nll_gradients runs one forward-backward over a whole batch of sentences,
-packed time-major as network._pack packs them for the BiLSTM, so each step
-is one (n, K) @ (K, K) product for the n sentences still running. It works
-in probabilities, not logs: every factor is exp(score - max), and alpha is
+nll_gradients and viterbi each walk a batch of sentences packed time-major by
+network.pack, as the BiLSTM does: a step is one (n, K) @ (K, K) product in
+the forward-backward, and one (n, K, 1) + (K, K) max and argmax in Viterbi,
+for the n sentences still running. The forward-backward works in
+probabilities, not logs: every factor is exp(score - max), and alpha is
 divided by its row sum c at every step and beta by the same c (Rabiner,
 1989, as CRFsuite does). It runs in float64, upcasting its emissions and the
 float32 CRF tensors on entry, because in float32 a long sentence's marginals
-drift (about 1% of a marginal at 512 tokens). Viterbi runs per sentence in
-the dtype of its inputs, float32 when decoding from a checkpoint. Ties in
-Viterbi are broken toward the lowest tag index at every backtracking step,
-so decoding is deterministic and directly comparable with exhaustive
-enumeration.
+drift (about 1% of a marginal at 512 tokens). Viterbi runs in the dtype of
+its inputs, float32 when decoding from a checkpoint. Its ties are broken
+toward the lowest tag index at every backtracking step, so decoding is
+deterministic and directly comparable with exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import LabelSet
 from .errors import NumericError, check_finite
-from .network import _pack
+from .network import pack
 
 # Score of a move the BIO scheme forbids: no emission can beat it.
 MASK_SCORE = -np.inf
@@ -84,10 +84,10 @@ def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tag
     gold = np.asarray(gold_tags)
     crf = {n: np.asarray(params[n], dtype=np.float64) for n in ("crf.transitions", "crf.start", "crf.end")}
     (trans, m_trans), (start, m_start), (end, m_end) = (_factor(x, n) for n, x in crf.items())
-    rows, step_start, active, prev = _pack(lengths)
+    rows, step_start, active, prev, packed_at = pack(lengths)
     batch = len(lengths)
     top = emissions.max(axis=1, keepdims=True)
-    e = np.exp(emissions - top)[rows[0]]  # packed time-major, as network._pack lays it out
+    e = np.exp(emissions - top)[rows[0]]  # packed time-major
 
     # Forward: alpha at step t is divided by its row sum c at step t.
     alpha = np.empty_like(e)
@@ -101,8 +101,6 @@ def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tag
         c[a: a + n] = alpha[a: a + n].sum(axis=1)
         alpha[a: a + n] /= c[a: a + n, None]
     ends = np.cumsum(lengths)
-    packed_at = np.empty(n_tok, dtype=np.intp)
-    packed_at[rows[0]] = np.arange(n_tok)
     last = packed_at[ends - 1]
     z_end = alpha[last] @ end
 
@@ -129,27 +127,37 @@ def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tag
     return float(log_z - gold_score), d_emis, d_trans
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the path score is checked
-def viterbi(emissions: np.ndarray, params: dict[str, np.ndarray]) -> PathScore:
-    """Maximum-score tag sequence; ties resolved toward the lowest index."""
+@np.errstate(over="ignore", invalid="ignore")  # the path scores are checked
+def viterbi(emissions: np.ndarray, params: dict[str, np.ndarray], lengths=None) -> PathScore:
+    """Maximum-score tag sequences of B sentences; ties resolved toward the lowest index.
+
+    emissions (N, K) and lengths are as nll_gradients takes them. The best tagging of independent sentences is
+    their concatenation: tags in sentence order, and score the float64 sum of the sentences' best scores.
+    """
     check_finite(emissions, "emissions")
-    T, K = emissions.shape
-    trans = params["crf.transitions"]
-    v = params["crf.start"] + emissions[0]
-    backptr = np.zeros((T, K), dtype=int)
-    for t in range(1, T):
-        scores = v[:, None] + trans  # (prev, cur)
-        backptr[t] = np.argmax(scores, axis=0)  # first max = lowest index
-        v = emissions[t] + scores[backptr[t], np.arange(K)]
-    v = v + params["crf.end"]
-    last = int(np.argmax(v))
-    best_score = float(v[last])
+    lengths = np.asarray([len(emissions)] if lengths is None else lengths, dtype=np.intp)
+    rows, step_start, active, _, packed_at = pack(lengths)
+    trans, start, end = (params[n] for n in ("crf.transitions", "crf.start", "crf.end"))
+    # v, packed time-major: the best score of a path that ends at each row's tag, the row's emission included.
+    v = emissions[rows[0]].astype(np.result_type(emissions, trans, start, end))
+    back = np.empty(v.shape, dtype=np.intp)
+    v[:len(lengths)] += start
+    for t in range(1, len(active)):
+        a, n, p = step_start[t], active[t], step_start[t - 1]
+        scores = v[p: p + n, :, None] + trans  # (n, prev, cur)
+        back[a: a + n] = np.argmax(scores, axis=1)  # first max = lowest index
+        v[a: a + n] += scores.max(axis=1)
+    last = packed_at[np.cumsum(lengths) - 1]
+    final = v[last] + end
+    best = final.max(axis=1)
     # An overflow to +inf meets a -inf mask as NaN, which argmax would pick.
-    check_finite(best_score, "Viterbi path score")
-    tags = [last]
-    for t in range(T - 1, 0, -1):
-        tags.append(int(backptr[t, tags[-1]]))
-    return PathScore(tuple(reversed(tags)), best_score)
+    check_finite(best, "Viterbi path score")
+    y = np.empty_like(packed_at)
+    y[last] = np.argmax(final, axis=1)
+    for t in range(len(active) - 1, 0, -1):
+        a, n, p = step_start[t], active[t], step_start[t - 1]
+        y[p: p + n] = back[a: a + n][np.arange(n), y[a: a + n]]
+    return PathScore(tuple(y[packed_at].tolist()), float(best.sum(dtype=np.float64)))
 
 
 def bio_transition_mask(labels: LabelSet) -> np.ndarray:

@@ -157,15 +157,16 @@ def char_features_backward(d_feat, cache, params: dict[str, np.ndarray], grads):
     np.add.at(grads["char_embeddings"], win_idx.ravel(), d_windows.reshape(win_idx.size, -1))
 
 
-def _pack(lengths: np.ndarray):
+def pack(lengths: np.ndarray):
     """Time-major packing of B sentences sorted by decreasing length.
 
     Packed row r is step t[r] of the k[r]-th longest sentence; the rows of
     step t are start[t]:start[t+1], and the sentences still running then are
     the first active[t] of the sorted batch. Returns the token each
-    direction reads at every row (2, N), start, active, and the row of every
+    direction reads at every row (2, N), start, active, the row of every
     packed row's previous state in a state array whose first B rows hold the
-    zero initial state.
+    zero initial state, and packed_at (N,), the packed row of every token,
+    which inverts rows[0].
     """
     by_len = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[by_len]
@@ -175,7 +176,7 @@ def _pack(lengths: np.ndarray):
     active = np.bincount(t)
     start = np.concatenate([[0], np.cumsum(active)])
     prev = np.concatenate([[0], len(lengths) + start[:-2]])[t] + k
-    return rows, start, active, prev
+    return rows, start, active, prev, np.argsort(rows[0])
 
 
 def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: dict[str, np.ndarray]):
@@ -185,7 +186,7 @@ def _bilstm_forward(xs: np.ndarray, lengths: np.ndarray, params: dict[str, np.nd
     Gates are kept as (2, N, 4, H) in [input, forget, cell, output] order;
     hidden and cell states as (2, B + N, H), the first B rows zero.
     """
-    rows, start, active, prev = _pack(lengths)
+    rows, start, active, prev, _ = pack(lengths)
     n_tok, batch, hidden, dtype = len(xs), len(lengths), params["lstm.wh"].shape[2], xs.dtype
     x = xs[rows]  # (2, N, In), the token each direction reads at each packed row
     gates = np.matmul(x, params["lstm.wx"].transpose(0, 2, 1)).reshape(2, n_tok, 4, hidden)

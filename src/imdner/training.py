@@ -288,9 +288,9 @@ def predict_documents(ckpt: Checkpoint, docs: list[Document]) -> list[Document]:
 
     A sentence over the network's limit is cut into chunks. The chunks of all
     documents are run through the network in consecutive groups of at most
-    MAX_SENTENCE_LEN tokens, one forward call per group, in the dtype of the
-    checkpoint. The BIO-masked CRF is built once per call, so every predicted
-    sequence is BIO-valid.
+    MAX_SENTENCE_LEN tokens, one forward call and one Viterbi call per group,
+    in the dtype of the checkpoint. The BIO-masked CRF is built once per call,
+    so every predicted sequence is BIO-valid.
     """
     decode_crf = crf_mod.masked(ckpt.params, ckpt.label_set)
     tag_names = ckpt.label_set.tags
@@ -308,8 +308,7 @@ def predict_documents(ckpt: Checkpoint, docs: list[Document]) -> list[Document]:
         lengths = [len(chunk) for chunk in group]
         texts = [t for chunk in group for t in chunk]
         emis, _ = net_mod.emissions_forward(texts, lengths, ckpt.embeddings, ckpt.params, ckpt.config, ckpt.char_vocab)
-        for rows in np.split(emis, np.cumsum(lengths)[:-1]):
-            tags.extend(tag_names[y] for y in crf_mod.viterbi(rows, decode_crf).tags)
+        tags.extend(tag_names[y] for y in crf_mod.viterbi(emis, decode_crf, lengths).tags)
     # Slices of the flat list, so each tag tuple is allocated once at its size:
     # tuple() over an iterator grows it in steps, which with tokenize_raw's
     # tuples raised tag-notes' peak RSS by 1.6 MB over 3,000 notes. zip takes

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import imdner
 from imdner import training
+from imdner.corpus import parse_conll
 from imdner.cli import main
 
 from checkpoint_files import DAMAGED, as_old_version, damage, read_checkpoint, write_checkpoint
@@ -168,6 +169,21 @@ class TestSplit:
                   "--train-out", str(train_out), "--test-out", str(test_out)])
             outs.append((train_out.read_bytes(), test_out.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        corpus = tmp_path / "notes.conll"
+        corpus.write_bytes("fièvre\tB-Symptom\n\n-DOCSTART-\n\nnaïve\tO\n".encode())
+        train_out, test_out = tmp_path / "train.conll", tmp_path / "test.conll"
+        proc = subprocess.run(
+            [sys.executable, "-m", "imdner.cli", "split", "--corpus", str(corpus), "--test-fraction", "0.5",
+             "--train-out", str(train_out), "--test-out", str(test_out)],
+            env={**os.environ, "PYTHONPATH": str(Path(imdner.__file__).resolve().parent.parent),
+                 "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (train,), (test,) = parse_conll(train_out.read_bytes()), parse_conll(test_out.read_bytes())
+        assert {train.sentences, test.sentences} == {d.sentences for d in parse_conll(corpus.read_bytes())}
 
 
 class TestStats:

@@ -119,6 +119,37 @@ class TestViterbi:
         with pytest.raises(NumericError):
             C.viterbi(emis, params)
 
+    def test_a_ragged_batch_decodes_as_its_sentences_do(self):
+        # Integer-valued scores tie often, and their sums are exact in either dtype.
+        labels = LabelSet(("Symptom", "Treatment"))
+        rng = np.random.default_rng(13)
+        K = labels.num_tags
+        for dtype in (np.float32, np.float64):
+            for draw in (lambda size: rng.integers(-2, 3, size=size), rng.normal):
+                for _ in range(50):
+                    lengths = rng.integers(1, 40, size=rng.integers(1, 9))
+                    emis = draw(size=(lengths.sum(), K)).astype(dtype)
+                    params = {n: draw(size=s).astype(dtype) for n, s in C.param_shapes(K)}
+                    for decode in (params, C.masked(params, labels)):
+                        best = C.viterbi(emis, decode, lengths)
+                        each = [C.viterbi(rows, decode) for rows in np.split(emis, np.cumsum(lengths)[:-1])]
+                        assert best.tags == sum((b.tags for b in each), ())
+                        assert best.score == pytest.approx(sum(b.score for b in each), rel=1e-12)
+
+    def test_one_overflowing_sentence_in_a_finite_batch_is_a_numeric_error(self):
+        labels = LabelSet(("Symptom",))
+        K = labels.num_tags
+        emis = np.zeros((5, K))
+        emis[2:] = 1e308  # the second of sentences of 2 and 3 tokens
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="Viterbi"):
+            C.viterbi(emis, C.masked(zero_params(K), labels), [2, 3])
+
+    def test_float32_scores_whose_sum_overflows_float32_give_a_finite_score(self):
+        params = {n: a.astype(np.float32) for n, a in zero_params(3).items()}
+        emis = np.full((4, 3), 3e38, dtype=np.float32)
+        best = C.viterbi(emis, params, [1, 1, 1, 1])  # four scores of 3e38; float32 ends at 3.4e38
+        assert best.score == 4 * float(np.float32(3e38))
+
 
 class TestMarginals:
     def test_uniform(self):
@@ -174,6 +205,7 @@ class TestBioMask:
         K = labels.num_tags
         for dtype, scales in ((np.float64, (5.0, 1e3, 1e10, 1e50, 1e100)), (np.float32, (5.0, 1e3, 1e10, 1e30))):
             for scale in scales:
+                batch = []
                 for _ in range(50):
                     emis = (rng.normal(size=(rng.integers(1, 8), K)) * scale).astype(dtype)
                     params = {n: (rng.normal(size=s) * scale).astype(dtype) for n, s in C.param_shapes(K)}
@@ -182,6 +214,12 @@ class TestBioMask:
                     best = C.viterbi(emis, decode)
                     tags = [labels.tags[i] for i in best.tags]
                     validate_bio(tags)  # raises on violation
+                    batch.append(emis)
+                # The same emissions as one batch, under the last CRF drawn.
+                lengths = np.array([len(e) for e in batch])
+                tags = [labels.tags[i] for i in C.viterbi(np.concatenate(batch), decode, lengths).tags]
+                for end, n in zip(np.cumsum(lengths), lengths):
+                    validate_bio(tags[end - n: end])
 
     def test_huge_inside_emission_cannot_beat_the_mask(self):
         # A soft -1e4 mask loses to a 2e4 emission; decoding must not.

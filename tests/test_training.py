@@ -777,12 +777,21 @@ class TestPredict:
             forwards.append(list(lengths))
             return real(texts, lengths, *args, **kw)
 
+        decodes = []
+        real_viterbi = C.viterbi
+
+        def counting_viterbi(emis, params, lengths=None):
+            decodes.append(None if lengths is None else list(lengths))
+            return real_viterbi(emis, params, lengths)
+
         monkeypatch.setattr(N, "emissions_forward", counting)
+        monkeypatch.setattr(C, "viterbi", counting_viterbi)
         sizes = [300, 200, 12, 600, 5]
         docs = [Document(f"d{n}", (Sentence(tuple(Token("fever") for _ in range(n))),)) for n in sizes]
         with pytest.warns(UserWarning, match="splitting a 600-token sentence"):
             pred = T.predict_documents(result.checkpoint, docs)
         assert forwards == [[300, 200, 12], [512], [88, 5]]
+        assert decodes == forwards  # one Viterbi call per group
         assert [len(d.sentences[0]) for d in pred] == sizes
 
     def test_bio_mask_is_built_once_per_call(self, trained, toy_corpus, monkeypatch):

@@ -52,55 +52,77 @@ class EmbeddingTable:
         return len(self.words)
 
 
+def _entries(text: str):
+    """(line number, stripped line) of every line of text that is neither blank
+    nor the header, walked without splitting text into a list of lines."""
+    pos, line_no = 0, 0
+    while pos <= len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        line, pos, line_no = text[pos:end], end + 1, line_no + 1
+        if line_no == 1 and _is_header(line):
+            continue
+        if line := line.strip():
+            yield line_no, line
+
+
+def _is_header(line: str) -> bool:
+    """A `<count> <dim>` header: exactly two integer fields."""
+    fields = line.split()
+    if len(fields) != 2:
+        return False
+    try:
+        int(fields[0]), int(fields[1])
+    except ValueError:
+        return False
+    return True
+
+
+@np.errstate(over="ignore")  # a value beyond float32 becomes inf, which the finite-row check reports
 def load_embeddings(data: bytes | str) -> EmbeddingTable:
     """Parse the text embedding format: optional `<count> <dim>` header, then
-    one `<word> <v1> ... <vdim>` line per word."""
-    lines = decode_text(data).split("\n")
+    one `<word> <v1> ... <vdim>` line per word.
 
-    vectors: dict[str, np.ndarray] = {}
-    line_of: dict[str, int] = {}
-    dim = None
-    start = 0
-
-    # Header detection: exactly two integer fields.
-    fields = lines[0].split()
-    if len(fields) == 2:
-        try:
-            int(fields[0]), int(fields[1])
-            start = 1
-        except ValueError:
-            pass
-
-    for line_no in range(start, len(lines)):
-        line = lines[line_no].strip()
-        if not line:
-            continue
+    Each vector is parsed in float64 as float() parses its strings and
+    rounded into its row of one float32 matrix, so the peak memory is about
+    the decoded text plus the table. A repeated word keeps its first row and
+    takes its last vector.
+    """
+    text = decode_text(data)
+    row_of: dict[str, int] = {}  # in row order
+    matrix = None
+    for line_no, line in _entries(text):
         fields = line.split(" ")
         if len(fields) < 2:
-            raise FormatError(f"expected a word and at least one value: {line!r}", line=line_no + 1)
+            raise FormatError(f"expected a word and at least one value: {line!r}", line=line_no)
         word = fields[0]
         try:
             # numpy parses each str as float() does: same accepted strings, same values.
             vec = np.array(fields[1:], dtype=np.float64)
         except ValueError:
-            raise FormatError(f"non-numeric vector component: {line!r}", line=line_no + 1) from None
-        if dim is None:
+            raise FormatError(f"non-numeric vector component: {line!r}", line=line_no) from None
+        if matrix is None:
+            # At most one row per line, and per 2 * dim + 2 characters: a vector line holds a word and dim
+            # values, each one character or more after a space, and a newline ends it.
             dim = len(vec)
+            rows = min(text.count("\n") + 1, (len(text) + 1) // (2 * dim + 2))
+            matrix = np.empty((rows, dim), np.float32)
         elif len(vec) != dim:
-            raise FormatError(f"vector of length {len(vec)}, expected {dim}", line=line_no + 1)
-        vectors[word] = vec
-        line_of[word] = line_no + 1
+            raise FormatError(f"vector of length {len(vec)}, expected {dim}", line=line_no)
+        matrix[row_of.setdefault(word, len(row_of))] = vec
 
-    if dim is None:
+    if matrix is None:
         raise FormatError("embedding file contains no vectors")
-    with np.errstate(over="ignore"):
-        matrix = np.array(list(vectors.values()), dtype=np.float32)
+    matrix = matrix[:len(row_of)]
     # A row's float64 sum is finite exactly when all its float32 values are.
     bad = ~np.isfinite(matrix.sum(axis=1, dtype=np.float64))
     if bad.any():
-        word = list(vectors)[bad.argmax()]
-        raise FormatError(f"vector of {word!r} holds a NaN, an Inf or a value beyond float32", line=line_of[word])
-    return EmbeddingTable(tuple(vectors), matrix)
+        word = list(row_of)[bad.argmax()]
+        # The line of its last vector, found again so that no line number is kept per word.
+        line_no = max(n for n, line in _entries(text) if line.split(" ", 1)[0] == word)
+        raise FormatError(f"vector of {word!r} holds a NaN, an Inf or a value beyond float32", line=line_no)
+    return EmbeddingTable(tuple(row_of), matrix)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -35,6 +36,9 @@ from .errors import IntegrityError, NumericError, UnsupportedVersionError, Valid
 from .evaluation import evaluate
 
 CHECKPOINT_VERSION = 3
+_HEADER_CHUNK = 1 << 20  # bytes per read of a checkpoint header
+# The bytes JSON text cannot hold unescaped: control characters other than tab, newline and carriage return.
+_RAW_CONTROL = re.compile(rb"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 GRAD_CLIP_NORM = 5.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -216,7 +220,14 @@ def load_checkpoint(path) -> Checkpoint:
         if f.read(1) != b"{":  # so a file of another kind is not read to its first newline
             raise IntegrityError("not a checkpoint: it does not start with a JSON header")
         f.seek(0)
-        header_line = f.readline()
+        # In chunks, so a file with no newline is read only as far as its first byte that JSON text cannot hold.
+        chunks = [f.readline(_HEADER_CHUNK)]
+        while len(chunks[-1]) == _HEADER_CHUNK and not chunks[-1].endswith(b"\n"):
+            if raw := _RAW_CONTROL.search(chunks[-1]):
+                at = (len(chunks) - 1) * _HEADER_CHUNK + raw.start()
+                raise IntegrityError(f"unreadable checkpoint header: byte {raw[0]!r} at offset {at} is not JSON text")
+            chunks.append(f.readline(_HEADER_CHUNK))
+        header_line = b"".join(chunks)
         payload_start = f.tell()
         payload_bytes = os.fstat(f.fileno()).st_size - payload_start
     try:

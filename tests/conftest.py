@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,17 @@ from imdner.embeddings import load_embeddings
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 TOY_LABELS = LabelSet(("Symptom", "Treatment", "Biomarker"))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while fn() runs, after a full collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -151,6 +151,17 @@ class TestViterbi:
         assert best.score == 4 * float(np.float32(3e38))
 
 
+class TestLengths:
+    # Each is 1 or more and they sum to the 3 emission rows, or neither function reads them.
+    @pytest.mark.parametrize("lengths", [[0, 3], [3, 0], [1, 1], [2, 2]], ids=lambda l: "+".join(map(str, l)))
+    def test_lengths_that_do_not_split_the_rows_are_refused(self, lengths):
+        emis, params = random_instance(np.random.default_rng(3), T=3, K=4)
+        with pytest.raises(ValidationError, match="sentence lengths"):
+            C.viterbi(emis, params, lengths)
+        with pytest.raises(ValidationError, match="sentence lengths"):
+            C.nll_gradients(emis, params, [0, 1, 2], lengths)
+
+
 class TestMarginals:
     def test_uniform(self):
         emis, params = zeros_instance(3, 4)

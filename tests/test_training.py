@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from imdner.embeddings import CharVocab, EmbeddingTable, build_char_vocab
 from imdner.errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError
 
 from checkpoint_files import DAMAGED, damage, read_checkpoint, write_checkpoint
+from conftest import traced_peak
 
 
 def small_net_config(labels, word_dim=8, **kw):
@@ -202,12 +202,7 @@ class TestAdam:
         adam = T.AdamState(params)
         cfg = T.TrainConfig()
         adam.update(params, grads, cfg)
-        tracemalloc.start()
-        try:
-            adam.update(params, grads, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: adam.update(params, grads, cfg))
         assert peak < 0.1 * params["w"].nbytes, peak
         assert all(arr.dtype == np.float32 for arr in (*adam.first_moment.values(), *adam.second_moment.values()))
 
@@ -215,13 +210,8 @@ class TestAdam:
 class TestClipping:
     def test_clipping_allocates_no_full_size_temporary(self):
         grads = {"w": np.random.default_rng(5).normal(size=(250, 400)).astype(np.float32)}  # 400 kB
-        tracemalloc.start()
-        try:
-            norm = T.clip_gradients(grads)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert norm > T.GRAD_CLIP_NORM  # so the gradient was scaled too
+        peak = traced_peak(lambda: T.clip_gradients(grads))
+        assert np.linalg.norm(grads["w"]) == pytest.approx(T.GRAD_CLIP_NORM, rel=1e-5)  # so the gradient was scaled too
         assert peak < 0.1 * grads["w"].nbytes, peak
 
     def test_large_gradients_scaled_to_norm(self):
@@ -657,6 +647,26 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             T.load_checkpoint(path)
         assert reads == []
+
+    def test_a_header_with_no_newline_is_read_only_to_its_first_control_byte(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"{\x00" + b"a" * (16 << 20))
+
+        def load():
+            with pytest.raises(IntegrityError, match=r"byte b'\\x00' at offset 1"):
+                T.load_checkpoint(path)
+
+        assert traced_peak(load) < 4 << 20
+
+    def test_a_header_longer_than_one_read_still_loads(self, trained, tmp_path):
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header[:-1] + b" " * (3 << 20) + b"}\n" + payload)  # JSON whitespace before the last brace
+        loaded = T.load_checkpoint(path)
+        assert loaded.embeddings.words == result.checkpoint.embeddings.words
+        assert all(np.array_equal(loaded.params[k], v) for k, v in result.checkpoint.params.items())
 
     @pytest.mark.parametrize("case", sorted(DAMAGED))
     def test_damaged_checkpoint_is_an_integrity_error_naming_it(self, trained, tmp_path, case):

@@ -205,6 +205,35 @@ def _header_field(header: dict, key: str, kind: type):
     return value
 
 
+def _header_end(path) -> tuple[int, int]:
+    """(offset just past the header line, file size) of a checkpoint file.
+
+    The header is read in chunks and none is kept, so a file with no newline
+    is read only as far as its first byte that JSON text cannot hold.
+    """
+    with open(path, "rb") as f:
+        if f.read(1) != b"{":  # so a file of another kind is not read to its first newline
+            raise IntegrityError("not a checkpoint: it does not start with a JSON header")
+        f.seek(0)
+        chunk, offset = f.readline(_HEADER_CHUNK), 0
+        while len(chunk) == _HEADER_CHUNK and not chunk.endswith(b"\n"):
+            if raw := _RAW_CONTROL.search(chunk):
+                at = offset + raw.start()
+                raise IntegrityError(f"unreadable checkpoint header: byte {raw[0]!r} at offset {at} is not JSON text")
+            chunk, offset = f.readline(_HEADER_CHUNK), offset + len(chunk)
+        return f.tell(), os.fstat(f.fileno()).st_size
+
+
+def _read_payload(path, start: int, payload: np.ndarray) -> None:
+    """Fill payload with the bytes of path from start on, which must be exactly as many."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        got = f.readinto(payload)
+        size = os.fstat(f.fileno()).st_size - start
+    if got != payload.nbytes or size != payload.nbytes:
+        raise IntegrityError(f"checkpoint payload changed size while it was read: {size} bytes")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint whose tensor listing is its config's layout.
 
@@ -215,21 +244,19 @@ def load_checkpoint(path) -> Checkpoint:
     differs; then the payload size is checked. The payload is read into one
     aligned float32 buffer, and every tensor, the embedding table included,
     is a view of it.
+
+    That buffer is allocated first, before the header is read for keeps, so
+    a reload takes the heap block that the payload of a checkpoint of the
+    same size left when it was freed, whatever was allocated around that
+    block since: the peak memory of a reload does not depend on the heap's
+    history. A file too large for memory fails with MemoryError before its
+    header is checked.
     """
+    payload_start, file_bytes = _header_end(path)
+    payload_bytes = file_bytes - payload_start
+    payload = np.empty(payload_bytes // 4, dtype="<f4")
     with open(path, "rb") as f:
-        if f.read(1) != b"{":  # so a file of another kind is not read to its first newline
-            raise IntegrityError("not a checkpoint: it does not start with a JSON header")
-        f.seek(0)
-        # In chunks, so a file with no newline is read only as far as its first byte that JSON text cannot hold.
-        chunks = [f.readline(_HEADER_CHUNK)]
-        while len(chunks[-1]) == _HEADER_CHUNK and not chunks[-1].endswith(b"\n"):
-            if raw := _RAW_CONTROL.search(chunks[-1]):
-                at = (len(chunks) - 1) * _HEADER_CHUNK + raw.start()
-                raise IntegrityError(f"unreadable checkpoint header: byte {raw[0]!r} at offset {at} is not JSON text")
-            chunks.append(f.readline(_HEADER_CHUNK))
-        header_line = b"".join(chunks)
-        payload_start = f.tell()
-        payload_bytes = os.fstat(f.fileno()).st_size - payload_start
+        header_line = f.read(payload_start)
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:  # the last: nested too deep
@@ -261,9 +288,7 @@ def load_checkpoint(path) -> Checkpoint:
     expected = sum(sizes) * 4
     if payload_bytes != expected:
         raise IntegrityError(f"checkpoint payload has {payload_bytes} bytes, expected {expected}")
-    payload = np.fromfile(path, dtype="<f4", offset=payload_start)  # a fresh, aligned buffer
-    if payload.nbytes != expected:
-        raise IntegrityError(f"checkpoint payload changed size while it was read: {payload.nbytes} bytes")
+    _read_payload(path, payload_start, payload)
 
     offsets = np.cumsum([0, *sizes])
     params = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(layout, offsets, offsets[1:])}

@@ -642,11 +642,23 @@ class TestCheckpoint:
         }[kind]
         path.write_bytes(data)
         reads = []
-        real_fromfile = np.fromfile
-        monkeypatch.setattr(np, "fromfile", lambda *a, **kw: reads.append(a) or real_fromfile(*a, **kw))
+        real_read = T._read_payload
+        monkeypatch.setattr(T, "_read_payload", lambda *a: reads.append(a) or real_read(*a))
         with pytest.raises(IntegrityError):
             T.load_checkpoint(path)
         assert reads == []
+
+    def test_the_payload_buffer_is_allocated_before_the_header_is_parsed(self, trained, tmp_path, monkeypatch):
+        # So a reload takes the heap block a freed payload left before anything made from the header splits it.
+        _, result = trained
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(result.checkpoint, path)
+        events = []
+        real_empty, real_loads = np.empty, json.loads
+        monkeypatch.setattr(np, "empty", lambda *a, **kw: events.append("empty") or real_empty(*a, **kw))
+        monkeypatch.setattr(json, "loads", lambda *a, **kw: events.append("loads") or real_loads(*a, **kw))
+        T.load_checkpoint(path)
+        assert events[:2] == ["empty", "loads"]
 
     def test_a_header_with_no_newline_is_read_only_to_its_first_control_byte(self, tmp_path):
         path = tmp_path / "model.ckpt"

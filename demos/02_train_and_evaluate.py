@@ -32,7 +32,6 @@ def main():
         char_filter_width=3,
         char_filter_count=16,
         lstm_hidden=32,
-        dropout_rate=0.5,
     )
     train_config = TrainConfig(epochs=250, seed=13)
 

@@ -65,12 +65,7 @@ def cmd_train(args) -> int:
 
     labels = LabelSet()
     table = load_embeddings(_read(args.embeddings))
-    net_cfg = NetworkConfig(
-        num_tags=labels.num_tags,
-        word_dim=table.dim,
-        dropout_rate=train_cfg.dropout_rate,
-        **net_kw,
-    )
+    net_cfg = NetworkConfig(num_tags=labels.num_tags, word_dim=table.dim, **net_kw)
     print(
         f"training: epochs={train_cfg.epochs} batch_size={train_cfg.batch_size} "
         f"learning_rate={train_cfg.learning_rate} dropout={train_cfg.dropout_rate} "

@@ -79,7 +79,8 @@ def _is_header(line: str) -> bool:
     return True
 
 
-@np.errstate(over="ignore")  # a value beyond float32 becomes inf, which the finite-row check reports
+# A value beyond float32 becomes inf, and a row holding both infs sums to NaN: the finite-row check reports both.
+@np.errstate(over="ignore", invalid="ignore")
 def load_embeddings(data: bytes | str) -> EmbeddingTable:
     """Parse the text embedding format: optional `<count> <dim>` header, then
     one `<word> <v1> ... <vdim>` line per word.

@@ -5,9 +5,9 @@ lengths, with emissions returned packed as (N, num_tags) for the N tokens in
 sentence order. Arithmetic, the dropout mask included, runs in the dtype of
 the parameters it is given: float32 in training and from a checkpoint, and
 float64 when a caller passes float64 weights, as the gradient checks do.
-Dropout applies only when a seed is supplied, one mask for the whole batch
-drawn from it. The forward pass caches every intermediate the manual
-backward pass needs.
+Dropout applies only when a (rate, seed) pair is supplied, one mask for the
+whole batch drawn from the seed. The forward pass caches every intermediate
+the manual backward pass needs.
 
 The weights are the model's one name -> tensor dict: param_shapes declares
 the network's tensors, and the CRF's follow them. The gradients, Adam and the
@@ -53,7 +53,7 @@ class NetworkConfig:
     char_filter_width: int = 3
     char_filter_count: int = 30
     lstm_hidden: int = 200
-    dropout_rate: float = 0.5
+    dropout_rate: float = 0.5  # read by nothing in the package: training takes its rate from TrainConfig
 
     def __post_init__(self):
         check_field_types(self)
@@ -260,20 +260,13 @@ def _bilstm_backward(d_out: np.ndarray, cache, params: dict[str, np.ndarray], gr
 # A sigmoid's exp may overflow to inf, which gives 0; a NaN or an Inf in any
 # stage's output is caught by the check_finite that ends the stage.
 @np.errstate(over="ignore", invalid="ignore")
-def emissions_forward(
-    token_texts: list[str],
-    lengths,
-    table: EmbeddingTable,
-    params: dict[str, np.ndarray],
-    config: NetworkConfig,
-    vocab: CharVocab,
-    dropout_seed=None,
-):
+def emissions_forward(token_texts: list[str], lengths, table: EmbeddingTable, params: dict[str, np.ndarray],
+                      vocab: CharVocab, dropout=None):
     """Packed emission scores (N, num_tags) of the sentences whose lengths are
     given, their N tokens flat in token_texts, plus the backward cache.
 
     Dropout (inverted, scaled by 1/(1-rate)) is applied to the LSTM input
-    only when a dropout_seed is given: one (N, In) mask for the batch.
+    only when dropout is a (rate, seed) pair: one (N, In) mask for the batch.
     """
     lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
     if not len(lengths) or lengths.min() < 1:
@@ -282,16 +275,17 @@ def emissions_forward(
         raise ValidationError(f"sentence of {lengths.max()} tokens exceeds the {MAX_SENTENCE_LEN}-token limit")
     if lengths.sum() != len(token_texts):
         raise ValidationError(f"{len(token_texts)} tokens given for sentences of {lengths.sum()} tokens")
-    if table.dim != config.word_dim:
-        raise ValidationError(f"embedding dim {table.dim} does not match configured word_dim {config.word_dim}")
+    word_dim = params["lstm.wx"].shape[2] - len(params["conv_bias"])
+    if table.dim != word_dim:
+        raise ValidationError(f"embedding dim {table.dim} does not match the network's word_dim {word_dim}")
 
     char_feats, char_cache = char_features_forward(token_texts, vocab, params)
     word_vecs = np.stack([table.lookup(t) for t in token_texts])
     xs = np.concatenate([word_vecs, char_feats], axis=1, dtype=params["lstm.wx"].dtype)
     check_finite(xs, "word vectors and char features")
     mask = None
-    if dropout_seed is not None and config.dropout_rate > 0.0:
-        mask = dropout_mask(xs.shape, config.dropout_rate, dropout_seed, xs.dtype)
+    if dropout is not None and dropout[0] > 0.0:
+        mask = dropout_mask(xs.shape, *dropout, xs.dtype)
         xs *= mask
 
     hidden, lstm_cache = _bilstm_forward(xs, lengths, params)

@@ -12,8 +12,9 @@ gradients are cast back to float32 for the network's backward pass
 high). A checkpoint holds a float32 copy of every weight and the frozen
 float32 embedding table, so the on-disk float32 container is lossless and a
 checkpoint decodes in float32 whether it was just made or loaded from disk.
-Training, dev scoring and every checkpoint of a run use one and the same
-table.
+It stores no network config: its labels and tensor shapes declare every
+size. Training, dev scoring and every checkpoint of a run use one and the
+same table.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .embeddings import CharVocab, EmbeddingTable, build_char_vocab
 from .errors import IntegrityError, NumericError, UnsupportedVersionError, ValidationError, check_field_types
 from .evaluation import evaluate
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _HEADER_CHUNK = 1 << 20  # bytes per read of a checkpoint header
 # The bytes JSON text cannot hold unescaped: control characters other than tab, newline and carriage return.
 _RAW_CONTROL = re.compile(rb"[\x00-\x08\x0b\x0c\x0e-\x1f]")
@@ -98,21 +99,14 @@ class AdamState:
             p -= np.multiply(s, step, out=s)
 
 
-def loss_and_gradients(
-    batch: list[Sentence],
-    params: dict[str, np.ndarray],
-    table: EmbeddingTable,
-    config: net_mod.NetworkConfig,
-    vocab: CharVocab,
-    labels: LabelSet,
-    seed=None,
-):
+def loss_and_gradients(batch: list[Sentence], params: dict[str, np.ndarray], table: EmbeddingTable,
+                       vocab: CharVocab, labels: LabelSet, dropout=None):
     """Mean per-sentence CRF negative log-likelihood and its gradients, keyed as params.
 
     The network and the CRF's forward-backward each run once over the whole
-    batch, and the network once backward. Dropout is active only when a
-    seed is given, anything np.random.default_rng takes: training's Generator
-    continues one stream of masks, and an int gives the same mask each call.
+    batch, and the network once backward. Dropout is on only given a (rate,
+    seed) pair, the seed anything np.random.default_rng takes: training's
+    Generator continues one stream of masks, and an int repeats one mask.
     """
     if not batch:
         raise ValidationError("empty batch")
@@ -121,7 +115,7 @@ def loss_and_gradients(
     texts = [t for sent in batch for t in sent.texts]
     lengths = [len(sent) for sent in batch]
     gold = [labels.tag_index(t) for sent in batch for t in sent.tags]
-    emis, cache = net_mod.emissions_forward(texts, lengths, table, params, config, vocab, seed)
+    emis, cache = net_mod.emissions_forward(texts, lengths, table, params, vocab, dropout)
     total, d_emis, d_trans = crf_mod.nll_gradients(emis, params, gold, lengths)
     # Back in the weights' dtype, so the network's backward runs in float32 in training.
     d_emis = d_emis.astype(emis.dtype, copy=False)
@@ -151,14 +145,13 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NOR
 @dataclass
 class Checkpoint:
     params: dict[str, np.ndarray]  # ordered by network.param_shapes + crf.param_shapes
-    config: net_mod.NetworkConfig
     label_set: LabelSet
     char_vocab: CharVocab
     embeddings: EmbeddingTable
     metadata: dict = field(default_factory=dict)
 
 
-def make_checkpoint(params, config, labels, vocab, table, metadata=None) -> Checkpoint:
+def make_checkpoint(params, labels, vocab, table, metadata=None) -> Checkpoint:
     """Snapshot the weights as float32 copies, exactly what save_checkpoint
     writes, so predictions from memory and from disk agree. Float32 weights
     are copied, and the weights of a float64 run are cast.
@@ -167,12 +160,27 @@ def make_checkpoint(params, config, labels, vocab, table, metadata=None) -> Chec
     copied: one table serves training and every checkpoint of a run.
     """
     weights = {n: arr.astype(np.float32) for n, arr in params.items()}
-    return Checkpoint(weights, config, labels, vocab, table, metadata=dict(metadata or {}))
+    return Checkpoint(weights, labels, vocab, table, metadata=dict(metadata or {}))
 
 
-def _layout(config: net_mod.NetworkConfig, vocab: CharVocab, words) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of every tensor of a checkpoint file, in payload order:
-    the network's, the CRF's, then the embedding matrix."""
+# The sizes each tensor's shape declares; H is read from lstm.wh's 4H axis, so a cut last axis is refused as lstm.wh.
+_DECLARED_SIZES = {
+    "conv_filters": lambda f, w, d: {"char_filter_count": f, "char_filter_width": w, "char_embed_dim": d},
+    "lstm.wh": lambda two, gates, h: {"lstm_hidden": gates // 4},
+    "embeddings.matrix": lambda rows, dim: {"word_dim": dim},
+}
+
+
+def _layout(shapes: dict, labels: LabelSet, vocab: CharVocab, words) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every tensor of a checkpoint file, in payload order: the network's, the CRF's,
+    then the embedding matrix. The labels set the tag count and the shapes, name -> shape, every other
+    size; a shape that is missing, or of a size NetworkConfig refuses, is an IntegrityError naming it."""
+    config = net_mod.NetworkConfig(labels.num_tags)
+    for name, sizes in _DECLARED_SIZES.items():
+        try:
+            config = replace(config, **sizes(*shapes.get(name)))
+        except (TypeError, ValidationError) as e:  # the first: no shape, or not one of the tensor's rank
+            raise IntegrityError(f"tensor {name!r} of shape {shapes.get(name)} declares no network: {e}") from e
     return [*net_mod.param_shapes(config, len(vocab)), *crf_mod.param_shapes(config.num_tags),
             ("embeddings.matrix", (len(words), config.word_dim))]
 
@@ -180,11 +188,11 @@ def _layout(config: net_mod.NetworkConfig, vocab: CharVocab, words) -> list[tupl
 def save_checkpoint(ckpt: Checkpoint, path):
     """Write the header, then every tensor in layout order, each listed with its actual shape."""
     arrays = {**ckpt.params, "embeddings.matrix": ckpt.embeddings.matrix}
-    tensors = [(name, arrays[name]) for name, _ in _layout(ckpt.config, ckpt.char_vocab, ckpt.embeddings.words)]
+    layout = _layout({n: a.shape for n, a in arrays.items()}, ckpt.label_set, ckpt.char_vocab, ckpt.embeddings.words)
+    tensors = [(name, arrays[name]) for name, _ in layout]
 
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": asdict(ckpt.config),
         "labels": list(ckpt.label_set.labels),
         "char_vocab": "".join(ckpt.char_vocab.chars),
         "embedding_words": list(ckpt.embeddings.words),
@@ -235,15 +243,15 @@ def _read_payload(path, start: int, payload: np.ndarray) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint whose tensor listing is its config's layout.
+    """Read a checkpoint whose tensor listing is the layout its own shapes declare.
 
-    The header is parsed and checked before the payload is read. Its
-    `tensors` list must equal the layout the stored config declares, entry by
-    entry and as JSON text, so a tensor of another name, shape or place, or a
-    dimension such as 30.0 or true, is refused, naming the first entry that
-    differs; then the payload size is checked. The payload is read into one
-    aligned float32 buffer, and every tensor, the embedding table included,
-    is a view of it.
+    The header is parsed and checked before the payload is read. Its labels
+    set the tag count, and the shapes it lists every other size. Its `tensors`
+    list must equal the layout those sizes declare, entry by entry and as JSON
+    text, so a tensor of another name, shape or place, or a dimension such as
+    30.0 or true, is refused, naming the first entry that differs; then the
+    payload size is checked. The payload is read into one aligned float32
+    buffer, and every tensor, the embedding table included, is a view of it.
 
     That buffer is allocated first, before the header is read for keeps, so
     a reload takes the heap block that the payload of a checkpoint of the
@@ -269,21 +277,20 @@ def load_checkpoint(path) -> Checkpoint:
         raise UnsupportedVersionError(version, CHECKPOINT_VERSION)
 
     try:
-        config = net_mod.NetworkConfig(**_header_field(header, "config", dict))
         labels = LabelSet(tuple(_header_field(header, "labels", list)))
         vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
         words = _header_field(header, "embedding_words", list)
+        listing = _header_field(header, "tensors", list)
+        shapes = dict(listing)
     except (TypeError, ValueError, ValidationError) as e:
         raise IntegrityError(f"inconsistent checkpoint: {e}") from e
-    if labels.num_tags != config.num_tags:
-        raise IntegrityError(f"{len(labels)} labels make {labels.num_tags} tags, but num_tags is {config.num_tags}")
 
-    layout = _layout(config, vocab, words)
-    listed = [json.dumps(entry) for entry in _header_field(header, "tensors", list)]
+    layout = _layout(shapes, labels, vocab, words)
+    listed = [json.dumps(entry) for entry in listing]
     declared = [json.dumps([name, list(shape)]) for name, shape in layout]
     for got, want in itertools.zip_longest(listed, declared, fillvalue="no tensor"):
         if got != want:
-            raise IntegrityError(f"the checkpoint lists {got} where its config declares {want}")
+            raise IntegrityError(f"the checkpoint lists {got} where its shapes declare {want}")
     sizes = [math.prod(shape) for _, shape in layout]
     expected = sum(sizes) * 4
     if payload_bytes != expected:
@@ -300,7 +307,7 @@ def load_checkpoint(path) -> Checkpoint:
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise IntegrityError(f"tensor {name!r} holds NaN or Inf values")
-    return Checkpoint(params, config, labels, vocab, table, metadata=_header_field(header, "metadata", dict))
+    return Checkpoint(params, labels, vocab, table, metadata=_header_field(header, "metadata", dict))
 
 
 def _split_long(sent: Sentence) -> list[Sentence]:
@@ -343,7 +350,7 @@ def predict_documents(ckpt: Checkpoint, docs: list[Document]) -> list[Document]:
     for group in groups:
         lengths = [len(chunk) for chunk in group]
         texts = [t for chunk in group for t in chunk]
-        emis, _ = net_mod.emissions_forward(texts, lengths, ckpt.embeddings, ckpt.params, ckpt.config, ckpt.char_vocab)
+        emis, _ = net_mod.emissions_forward(texts, lengths, ckpt.embeddings, ckpt.params, ckpt.char_vocab)
         tags.extend(tag_names[y] for y in crf_mod.viterbi(emis, decode_crf, lengths).tags)
     # Slices of the flat list, so each tag tuple is allocated once at its size:
     # tuple() over an iterator grows it in steps, which with tokenize_raw's
@@ -421,14 +428,13 @@ def train(
         raise ValidationError(
             f"network num_tags {net_config.num_tags} does not match label set ({labels.num_tags})"
         )
-    if net_config.dropout_rate != train_config.dropout_rate:
-        net_config = net_mod.NetworkConfig(**{**asdict(net_config), "dropout_rate": train_config.dropout_rate})
 
     vocab = build_char_vocab(train_docs)
     sentences = [s for doc in train_docs for sent in doc.sentences for s in _split_long(sent)]
     _check_network_fits(net_config, len(vocab), sentences, train_config.batch_size)
     ss = np.random.SeedSequence(train_config.seed)
     init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(3))
+    dropout = (train_config.dropout_rate, dropout_rng)
     # Drawn in float64 and cast once, so the draws and their order are those of a float64 run.
     drawn = net_mod.init_network_params(net_config, len(vocab), init_rng)
     drawn.update(crf_mod.init_params(net_config.num_tags, init_rng))
@@ -445,7 +451,7 @@ def train(
         for b_start in range(0, len(sentences), train_config.batch_size):
             batch = [sentences[i] for i in order[b_start: b_start + train_config.batch_size]]
             try:
-                loss, grads = loss_and_gradients(batch, params, table, net_config, vocab, labels, seed=dropout_rng)
+                loss, grads = loss_and_gradients(batch, params, table, vocab, labels, dropout)
                 clip_gradients(grads)
             except NumericError as e:
                 batch_no = b_start // train_config.batch_size + 1
@@ -456,10 +462,8 @@ def train(
 
         p = r = f1 = None
         if dev_docs or epoch == train_config.epochs:
-            ckpt = make_checkpoint(
-                params, net_config, labels, vocab, table,
-                metadata={"seed": train_config.seed, "epochs_completed": epoch, "final_loss": epoch_loss},
-            )
+            metadata = {"seed": train_config.seed, "epochs_completed": epoch, "final_loss": epoch_loss}
+            ckpt = make_checkpoint(params, labels, vocab, table, metadata)
         if dev_docs:
             p, r, f1 = evaluate(dev_docs, predict_documents(ckpt, dev_docs), labels).micro
             if f1 > best_f1:

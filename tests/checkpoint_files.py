@@ -1,9 +1,12 @@
 """Read and rewrite saved checkpoints, and the damaged checkpoints that
 loading must reject with an IntegrityError naming what is wrong."""
 
+import dataclasses
 import json
 
 import numpy as np
+
+from imdner.network import NetworkConfig
 
 
 def read_checkpoint(path):
@@ -31,20 +34,25 @@ def write_checkpoint(path, header, tensors, listing=None):
 
 
 def as_old_version(path, version):
-    """Rewrite the checkpoint at path in format version 1 or 2. Both stored
-    each LSTM direction as its own lstm_fw.* and lstm_bw.* tensors; version 1
-    also stored an `embedding_dim` header field and a zero `embeddings.unk`
-    vector last."""
+    """Rewrite the checkpoint at path in format version 1, 2 or 3. Each stored
+    a `config` object of the network sizes, here the ones the shapes declare.
+    Versions 1 and 2 stored each LSTM direction as its own lstm_fw.* and
+    lstm_bw.* tensors; version 1 also stored an `embedding_dim` header field
+    and a zero `embeddings.unk` vector last."""
     header, tensors = read_checkpoint(path)
-    names = list(tensors)
-    at = names.index("lstm.wx")
-    split = {f"{direction}.{part}": tensors[f"lstm.{part}"][d]
-             for d, direction in enumerate(("lstm_fw", "lstm_bw")) for part in ("wx", "wh", "b")}
-    tensors = {**{n: tensors[n] for n in names[:at]}, **split, **{n: tensors[n] for n in names[at + 3:]}}
-    header = {**header, "format_version": version}
+    (count, width, dim), word_dim = tensors["conv_filters"].shape, tensors["embeddings.matrix"].shape[1]
+    config = NetworkConfig(num_tags=len(tensors["proj_bias"]), word_dim=word_dim, char_embed_dim=dim,
+                           char_filter_width=width, char_filter_count=count, lstm_hidden=tensors["lstm.wh"].shape[2])
+    header = {**header, "format_version": version, "config": dataclasses.asdict(config)}
+    if version < 3:
+        names = list(tensors)
+        at = names.index("lstm.wx")
+        split = {f"{direction}.{part}": tensors[f"lstm.{part}"][d]
+                 for d, direction in enumerate(("lstm_fw", "lstm_bw")) for part in ("wx", "wh", "b")}
+        tensors = {**{n: tensors[n] for n in names[:at]}, **split, **{n: tensors[n] for n in names[at + 3:]}}
     if version == 1:
-        header["embedding_dim"] = header["config"]["word_dim"]
-        tensors["embeddings.unk"] = np.zeros(header["embedding_dim"])
+        header["embedding_dim"] = word_dim
+        tensors["embeddings.unk"] = np.zeros(word_dim)
     write_checkpoint(path, header, tensors)
 
 
@@ -60,6 +68,11 @@ def _conv_bias_dimension(change):
         shape[0] = change(shape[0])
         return listing
     return edit
+
+
+def _matrix_one_column_wider(header, tensors):
+    # The matrix's width is word_dim, and lstm.wx's input width minus the filter count no longer fits it.
+    tensors["embeddings.matrix"] = np.pad(tensors["embeddings.matrix"], [(0, 0), (0, 1)])
 
 
 def _listed_twice(header, tensors):
@@ -84,7 +97,8 @@ DAMAGED = {
                                        "char_embeddings"),
     "conv-filters-of-width-2": (lambda h, t: t.update({"conv_filters": t["conv_filters"][:, :2]}), "conv_filters"),
     "5-tag-crf": (_cut_crf_to_five_tags, "crf.transitions"),
-    "two-labels": (lambda h, t: h.update({"labels": h["labels"][:2]}), "2 labels make 5 tags"),
+    "two-labels": (lambda h, t: h.update({"labels": h["labels"][:2]}), "proj_weights"),
+    "word-dim-not-the-matrix-width": (_matrix_one_column_wider, "lstm.wx"),
     "missing-tensor": (lambda h, t: t.__delitem__("conv_bias"), "conv_bias"),
     "unknown-tensor": (lambda h, t: t.update({"attention.wq": np.zeros(2)}), "attention.wq"),
     # int() would truncate the first to the right size, and the second equals it under ==.

@@ -79,10 +79,11 @@ class TestLoadEmbeddings:
                 with pytest.raises(FormatError, match="NaN, an Inf"):
                     load_embeddings(f"w {value} 0")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
-    def test_non_finite_component_names_the_word_and_line(self, value, recwarn):
+    @pytest.mark.parametrize("vector", ["nan 0.2", "inf 0.2", "-inf 0.2", "1e39 0.2", "1e39 -1e39"],
+                             ids=["nan", "inf", "-inf", "1e39", "1e39-and--1e39"])
+    def test_non_finite_component_names_the_word_and_line(self, vector, recwarn):
         with pytest.raises(FormatError, match="line 2: vector of 'fever' holds a NaN"):
-            load_embeddings(f"rash 0.1 0.2\nfever {value} 0.2\n")
+            load_embeddings(f"rash 0.1 0.2\nfever {vector}\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_later_duplicate_wins_at_the_first_position(self):

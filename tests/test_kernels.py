@@ -160,20 +160,20 @@ def _zero_grads(params):
     return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
-@pytest.mark.parametrize("dropout_seed", [None, 17], ids=["dropout-off", "dropout-on"])
-def test_hoisted_bilstm_matches_per_step_reference(dropout_seed):
+@pytest.mark.parametrize("dropout", [None, (PAPER.dropout_rate, 17)], ids=["dropout-off", "dropout-on"])
+def test_hoisted_bilstm_matches_per_step_reference(dropout):
     vocab, table, params, texts, d_emis = _paper_setup()
-    emis, cache = N.emissions_forward(texts, LENGTHS, table, params, PAPER, vocab, dropout_seed)
+    emis, cache = N.emissions_forward(texts, LENGTHS, table, params, vocab, dropout)
     grads = _zero_grads(params)
     N.emissions_backward(d_emis, cache, params, grads)
 
     shape = (len(texts), PAPER.lstm_input_dim)
-    if dropout_seed is None:
+    if dropout is None:
         assert cache["mask"] is None
         mask = np.ones(shape)
     else:  # one mask for the whole batch; each sentence takes its rows of it
         mask = cache["mask"]
-        assert np.array_equal(mask, N.dropout_mask(shape, PAPER.dropout_rate, dropout_seed))
+        assert np.array_equal(mask, N.dropout_mask(shape, *dropout))
     ref_grads = _zero_grads(params)
     ref_emis, end = [], 0
     for n in LENGTHS:

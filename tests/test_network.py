@@ -29,9 +29,9 @@ def table():
     return EmbeddingTable(("fever", "rash", "the", "high"), rng.normal(size=(4, 4)))
 
 
-def emissions(texts, table, params, config, vocab, dropout_seed=None):
+def emissions(texts, table, params, vocab, dropout=None):
     """Emissions of one sentence through the batched forward pass."""
-    return N.emissions_forward(texts, [len(texts)], table, params, config, vocab, dropout_seed)[0]
+    return N.emissions_forward(texts, [len(texts)], table, params, vocab, dropout)[0]
 
 
 def char_features(text, vocab, params):
@@ -168,7 +168,7 @@ class TestEmissions:
         config = make_config()
         params = zero_params(config, vocab)
         params["proj_bias"][...] = np.arange(config.num_tags, dtype=float)
-        emis = emissions(["fever", "rash", "the"], table, params, config, vocab)
+        emis = emissions(["fever", "rash", "the"], table, params, vocab)
         assert emis.shape == (3, config.num_tags)
         for row in emis:
             assert np.allclose(row, params["proj_bias"])
@@ -176,8 +176,8 @@ class TestEmissions:
     def test_deterministic_without_dropout(self, vocab, table):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(4))
-        a = emissions(["fever", "high"], table, params, config, vocab)
-        b = emissions(["fever", "high"], table, params, config, vocab)
+        a = emissions(["fever", "high"], table, params, vocab)
+        b = emissions(["fever", "high"], table, params, vocab)
         assert np.array_equal(a, b)
 
     def test_matches_hand_unrolled_lstm(self, vocab):
@@ -219,22 +219,22 @@ class TestEmissions:
                 for t in range(2)
             ]
         )
-        emis = emissions(["u", "v"], table, params, config, vocab)
+        emis = emissions(["u", "v"], table, params, vocab)
         assert np.max(np.abs(emis - expected)) < 1e-10
 
     @pytest.mark.parametrize("T", [1, 2, 17, 64])
     def test_output_shape(self, vocab, table, T):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(5))
-        emis = emissions(["fever"] * T, table, params, config, vocab)
+        emis = emissions(["fever"] * T, table, params, vocab)
         assert emis.shape == (T, config.num_tags)
 
     def test_reversal_is_not_reversal_of_rows(self, vocab, table):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(6))
         words = ["fever", "rash", "the", "high"]
-        fwd = emissions(words, table, params, config, vocab)
-        rev = emissions(words[::-1], table, params, config, vocab)
+        fwd = emissions(words, table, params, vocab)
+        rev = emissions(words[::-1], table, params, vocab)
         assert not np.allclose(rev, fwd[::-1])
 
     def test_finite_for_bounded_parameters(self, vocab, table):
@@ -242,39 +242,39 @@ class TestEmissions:
         params = N.init_network_params(config, len(vocab), np.random.default_rng(7))
         for arr in params.values():
             arr[...] = np.clip(arr * 100, -5, 5)
-        emis = emissions(["fever", "rash"] * 20, table, params, config, vocab)
+        emis = emissions(["fever", "rash"] * 20, table, params, vocab)
         assert np.all(np.isfinite(emis))
 
     def test_rejects_empty_and_oversized(self, vocab, table):
         config = make_config()
         params = zero_params(config, vocab)
         with pytest.raises(ValidationError):
-            emissions([], table, params, config, vocab)
+            emissions([], table, params, vocab)
         with pytest.raises(ValidationError):
-            emissions(["a"] * (N.MAX_SENTENCE_LEN + 1), table, params, config, vocab)
+            emissions(["a"] * (N.MAX_SENTENCE_LEN + 1), table, params, vocab)
 
     def test_non_finite_parameters_name_the_stage(self, vocab, table):
         config = make_config()
         params = zero_params(config, vocab)
         params["proj_bias"][0] = np.inf
         with pytest.raises(NumericError, match="projection"):
-            emissions(["fever"], table, params, config, vocab)
+            emissions(["fever"], table, params, vocab)
 
     def test_word_dim_mismatch(self, vocab):
         config = make_config(word_dim=9)
         params = zero_params(config, vocab)
         bad_table = EmbeddingTable(("a",), np.zeros((1, 4)))
         with pytest.raises(ValidationError):
-            emissions(["a"], bad_table, params, config, vocab)
+            emissions(["a"], bad_table, params, vocab)
 
 
 class TestDropout:
     def test_masks_are_seeded(self, vocab, table):
         config = make_config()
         params = N.init_network_params(config, len(vocab), np.random.default_rng(8))
-        a = emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=11)
-        b = emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=11)
-        c = emissions(["fever", "rash"], table, params, config, vocab, dropout_seed=12)
+        a = emissions(["fever", "rash"], table, params, vocab, dropout=(config.dropout_rate, 11))
+        b = emissions(["fever", "rash"], table, params, vocab, dropout=(config.dropout_rate, 11))
+        c = emissions(["fever", "rash"], table, params, vocab, dropout=(config.dropout_rate, 12))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 

@@ -293,8 +293,11 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
             raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}: {line!r}", line=line_no)
         text, tag = fields
         if tag not in labels._tag_ids:  # so it is malformed or has an unknown label
-            _split_tag(tag)  # raises on a malformed tag
-            raise SchemaError(f"unknown label {tag[2:]!r} in tag {tag!r}")
+            try:
+                _split_tag(tag)
+            except TaggingError as e:
+                raise TaggingError(f"{e} ({name} line {line_no})") from e
+            raise SchemaError(f"unknown label {tag[2:]!r} in tag {tag!r} ({name} line {line_no})")
         try:
             _check_text(text)
         except ValidationError as e:

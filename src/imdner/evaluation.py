@@ -5,8 +5,9 @@ the same half-open token range exists in the same sentence; matching is
 one-to-one. Zero denominators yield 0, not an error.
 
 `evaluate`, `error_breakdown` and `iaa` each make one `_walk` over the two
-corpora, which reads the spans each Sentence decoded when it was built.
-Nothing is cached between calls.
+corpora, which reads the spans each Sentence decoded when it was built. A span
+can only match inside its own sentence, so matching goes sentence pair by
+sentence pair and builds no per-span key. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -66,13 +67,29 @@ class AgreementReport:
 
 def _walk(gold: list[Document], pred: list[Document]):
     """Raise AlignmentError at the first document, sentence or token where the
-    corpora differ; else return the span keys (doc, sentence, start, end, label)
-    of each side, the token count and the count of agreeing tags. Flat annotation
-    makes each key unique, so one-to-one matching is set intersection."""
+    corpora differ. Else return the (start, end, label) spans of the sentence
+    pairs whose tags agree, and the gold and the predicted Sentences of the
+    pairs whose tags differ, in two parallel lists."""
     if len(gold) != len(pred):
         raise AlignmentError(f"corpora have {len(gold)} vs {len(pred)} documents")
-    gold_spans, pred_spans = set(), set()
-    tokens = agree = 0
+    agreed, gold_diff, pred_diff = [], [], []
+    for g, p in zip(gold, pred):
+        if len(g.sentences) != len(p.sentences):
+            _raise_first_difference(gold, pred)
+        for gs, ps in zip(g.sentences, p.sentences):
+            if gs.texts != ps.texts:
+                _raise_first_difference(gold, pred)
+            if gs.tags == ps.tags:
+                agreed += gs.span_bounds
+            else:
+                gold_diff.append(gs)
+                pred_diff.append(ps)
+    return agreed, gold_diff, pred_diff
+
+
+def _raise_first_difference(gold: list[Document], pred: list[Document]):
+    """The error path of `_walk`, which keeps no positions: walk again, with
+    them, to name the first sentence or token where the corpora differ."""
     for d, (g, p) in enumerate(zip(gold, pred)):
         if len(g.sentences) != len(p.sentences):
             raise AlignmentError(f"document {d} ({g.id}): {len(g.sentences)} vs {len(p.sentences)} sentences")
@@ -84,11 +101,6 @@ def _walk(gold: list[Document], pred: list[Document]):
                 raise AlignmentError(
                     f"token mismatch at document {d}, sentence {s}, token {t}: {gs.texts[t]!r} vs {ps.texts[t]!r}"
                 )
-            agree += sum(map(operator.eq, gs.tags, ps.tags))
-            tokens += len(gs)
-            gold_spans.update([(d, s, start, end, label) for start, end, label in gs.span_bounds])
-            pred_spans.update([(d, s, start, end, label) for start, end, label in ps.span_bounds])
-    return gold_spans, pred_spans, tokens, agree
 
 
 def aggregate(per_label: list[LabelMetrics]):
@@ -124,10 +136,17 @@ def aggregate(per_label: list[LabelMetrics]):
     return micro, macro, weighted
 
 
-def _report(gold_spans: set, pred_spans: set, labels: LabelSet | None) -> EvalReport:
+def _report(agreed: list, gold_diff: list, pred_diff: list, labels: LabelSet | None) -> EvalReport:
+    """Match each differing sentence pair's spans on their own: flat annotation
+    makes a span unique in its sentence, so one-to-one matching is set intersection."""
     labels = labels or LabelSet()
-    matched = gold_spans & pred_spans
-    tp, fp, fn = (Counter(s[4] for s in spans) for spans in (matched, pred_spans - matched, gold_spans - matched))
+    matched, fp, fn = agreed, [], []
+    for gs, ps in zip(gold_diff, pred_diff):
+        g, p = set(gs.span_bounds), set(ps.span_bounds)
+        matched += g & p
+        fp += p - g
+        fn += g - p
+    tp, fp, fn = (Counter(map(operator.itemgetter(2), spans)) for spans in (matched, fp, fn))
     per_label = [LabelMetrics.from_counts(lab, tp[lab], fp[lab], fn[lab]) for lab in labels.labels]
 
     micro, macro, weighted = aggregate(per_label)
@@ -141,47 +160,46 @@ def _report(gold_spans: set, pred_spans: set, labels: LabelSet | None) -> EvalRe
 
 
 def evaluate(gold: list[Document], pred: list[Document], labels: LabelSet | None = None) -> EvalReport:
-    gold_spans, pred_spans, _, _ = _walk(gold, pred)
-    return _report(gold_spans, pred_spans, labels)
+    return _report(*_walk(gold, pred), labels)
 
 
 def error_breakdown(gold: list[Document], pred: list[Document]) -> ErrorBreakdown:
     """Classify each predicted span exactly once, in priority order:
     exact match > label error > boundary error > spurious. A boundary error
     matches the first overlapping gold span of its label in sorted order."""
-    gold_spans, pred_spans, _, _ = _walk(gold, pred)
-    by_range = {g[:4]: g for g in gold_spans}
-    by_label: dict[tuple, list] = {}
-    for g in sorted(gold_spans):
-        by_label.setdefault((g[0], g[1], g[4]), []).append(g)
-
-    correct = label_error = boundary_error = spurious = 0
-    matched_gold = set()
-    for span in pred_spans:
-        d, s, start, end, lab = span
-        if span in gold_spans:
-            correct += 1
-            matched_gold.add(span)
-        elif span[:4] in by_range:
-            label_error += 1
-            matched_gold.add(by_range[span[:4]])
-        else:
-            overlap = next((g for g in by_label.get((d, s, lab), ()) if g[2] < end and start < g[3]), None)
-            if overlap is not None:
-                boundary_error += 1
-                matched_gold.add(overlap)
+    agreed, gold_diff, pred_diff = _walk(gold, pred)
+    correct, label_error, boundary_error, spurious, missed = len(agreed), 0, 0, 0, 0
+    for gs, ps in zip(gold_diff, pred_diff):
+        golds = gs.span_bounds
+        by_range = {g[:2]: g for g in golds}
+        claimed = set()
+        for span in ps.span_bounds:
+            start, end, lab = span
+            claim = by_range.get((start, end))  # the gold span this prediction matches, if any
+            if claim == span:
+                correct += 1
+            elif claim is not None:
+                label_error += 1
             else:
-                spurious += 1
-
-    missed = len(gold_spans - matched_gold)
+                # A sentence's spans are in order, so this is the first overlap in sorted order.
+                claim = next((g for g in golds if g[2] == lab and g[0] < end and start < g[1]), None)
+                if claim is None:
+                    spurious += 1
+                    continue
+                boundary_error += 1
+            claimed.add(claim)
+        missed += len(golds) - len(claimed)
     return ErrorBreakdown(correct, label_error, boundary_error, spurious, missed)
 
 
 def iaa(annotation_a: list[Document], annotation_b: list[Document], labels: LabelSet | None = None) -> AgreementReport:
     """Token-level percentage agreement plus entity F1 with A as gold."""
-    spans_a, spans_b, tokens, agree = _walk(annotation_a, annotation_b)
+    agreed, diff_a, diff_b = _walk(annotation_a, annotation_b)
+    tokens = sum(len(sent.texts) for doc in annotation_a for sent in doc.sentences)
+    # Tags agree everywhere outside the sentence pairs whose tags differ.
+    agree = tokens - sum(sum(map(operator.ne, a.tags, b.tags)) for a, b in zip(diff_a, diff_b))
     pct = 100.0 * agree / tokens if tokens else 0.0
-    f1 = _report(spans_a, spans_b, labels).micro[2]
+    f1 = _report(agreed, diff_a, diff_b, labels).micro[2]
     return AgreementReport(token_agreement_pct=pct, entity_f1_a_as_gold=f1, token_count=tokens)
 
 

@@ -1,8 +1,9 @@
 """Direct references for imdner.evaluation's `evaluate` and `iaa`: an
 alignment check, a per-tag span decode and corpus-wide tag lists, each its own
-pass over the documents. They read only the tokens' texts and tags, never the
-spans a Sentence stores, so tests can check the one-walk implementation
-against them."""
+pass over the documents, with corpus-wide span keys (document, sentence,
+start, end, label). They read only the tokens' texts and tags, never the spans
+a Sentence stores, so tests can check the implementation, which walks once and
+matches each sentence pair's own spans, against them."""
 
 from __future__ import annotations
 

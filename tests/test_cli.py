@@ -284,6 +284,18 @@ def test_malformed_input_is_one_error_line_and_exit_1(case, data_dir, tmp_path, 
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+@pytest.mark.parametrize("tag, line", [
+    ("B-Foo", "error: unknown label 'Foo' in tag 'B-Foo' (notes.conll line 3)"),
+    ("X-Symptom", "error: malformed tag 'X-Symptom' (notes.conll line 3)"),
+])
+def test_a_bad_tag_is_one_error_line_naming_the_file_and_line(tag, line, tmp_path, capsys):
+    notes = tmp_path / "notes.conll"
+    notes.write_text(f"Fever\tB-Symptom\n\nrash\t{tag}\n")
+    rc = main(["stats", "--corpus", str(notes)])
+    assert rc == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("error, line", [
     (MemoryError("Unable to allocate 763. MiB for an array with shape (20000, 5000) and data type float64"),
      "error: out of memory: Unable to allocate 763. MiB for an array with shape (20000, 5000) and data type float64"),

@@ -133,14 +133,14 @@ class TestParseConll:
             parse_conll("a\tB-Made_Up\n")
 
     @pytest.mark.parametrize("tag, error, message", [
-        ("X-Symptom", TaggingError, "malformed tag 'X-Symptom'"),
-        ("B-", SchemaError, "unknown label '' in tag 'B-'"),
-        ("I-Nope", SchemaError, "unknown label 'Nope' in tag 'I-Nope'"),
-        ("o", TaggingError, "malformed tag 'o'"),
+        ("X-Symptom", TaggingError, "malformed tag 'X-Symptom' (notes.conll line 3)"),
+        ("B-", SchemaError, "unknown label '' in tag 'B-' (notes.conll line 3)"),
+        ("I-Nope", SchemaError, "unknown label 'Nope' in tag 'I-Nope' (notes.conll line 3)"),
+        ("o", TaggingError, "malformed tag 'o' (notes.conll line 3)"),
     ])
     def test_a_tag_outside_the_vocabulary_is_named(self, tag, error, message):
         with pytest.raises(error) as e:
-            parse_conll(f"a\tO\nb\t{tag}\n")
+            parse_conll(f"a\tO\n\nb\t{tag}\n", name="notes.conll")
         assert str(e.value) == message
 
     def test_i_after_o_rejected(self):

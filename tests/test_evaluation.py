@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from imdner.corpus import Document, LabelSet, Sentence, Token, spans_to_tags, EntitySpan
 from imdner.errors import AlignmentError
 from imdner.evaluation import (
+    ErrorBreakdown,
     LabelMetrics,
     aggregate,
     error_breakdown,
@@ -17,6 +18,7 @@ from imdner.evaluation import (
 
 import scoring_oracle
 from breakdown_oracle import quadratic_error_breakdown
+from conftest import traced_peak
 
 LABELS = LabelSet(("Symptom", "Treatment", "Biomarker"))
 
@@ -176,12 +178,17 @@ _TAG = st.sampled_from(["O", *(f"{p}-{lab}" for lab in LABELS.labels for p in "B
 
 @st.composite
 def _aligned_pairs(draw):
-    """Gold and predicted documents over the same tokens, tags drawn apart."""
+    """Gold and predicted documents over the same tokens. Each predicted
+    sentence either copies its gold tags or has tags drawn apart, so that one
+    corpus mixes sentences whose tags agree with sentences whose tags differ."""
     gold, pred = [], []
     for d in range(draw(st.integers(1, 3))):
         lengths = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4))
-        gold.append(doc_from_tags([_bio(draw(st.lists(_TAG, min_size=n, max_size=n))) for n in lengths], f"d{d}"))
-        pred.append(doc_from_tags([_bio(draw(st.lists(_TAG, min_size=n, max_size=n))) for n in lengths], f"d{d}"))
+        gold_tags = [_bio(draw(st.lists(_TAG, min_size=n, max_size=n))) for n in lengths]
+        pred_tags = [tags if draw(st.booleans()) else _bio(draw(st.lists(_TAG, min_size=len(tags), max_size=len(tags))))
+                     for tags in gold_tags]
+        gold.append(doc_from_tags(gold_tags, f"d{d}"))
+        pred.append(doc_from_tags(pred_tags, f"d{d}"))
     return gold, pred
 
 
@@ -192,6 +199,32 @@ def test_one_walk_matches_the_oracles(pair):
     assert evaluate(gold, pred, LABELS) == scoring_oracle.evaluate(gold, pred, LABELS)
     assert iaa(gold, pred, LABELS) == scoring_oracle.iaa(gold, pred, LABELS)
     assert error_breakdown(gold, pred) == quadratic_error_breakdown(gold, pred)
+
+
+@pytest.mark.parametrize("gold, pred", [
+    ([doc_from_tags([["B-Symptom", "O"], ["O", "O"]])], [doc_from_tags([["O", "O"], ["B-Symptom", "O"]])]),
+    ([doc_from_tags([["B-Symptom"]], "a"), doc_from_tags([["O"]], "b")],
+     [doc_from_tags([["O"]], "a"), doc_from_tags([["B-Symptom"]], "b")]),
+], ids=["sentences", "documents"])
+def test_equal_spans_in_different_sentences_do_not_match(gold, pred):
+    report = evaluate(gold, pred, LABELS)
+    assert [(m.tp, m.fp, m.fn) for m in report.per_label] == [(0, 1, 1), (0, 0, 0), (0, 0, 0)]
+    assert report == scoring_oracle.evaluate(gold, pred, LABELS)
+    assert error_breakdown(gold, pred) == ErrorBreakdown(spurious=1, missed=1) == quadratic_error_breakdown(gold, pred)
+
+
+def test_scoring_makes_no_per_span_keys():
+    # Keys of (document, sentence, start, end, label), one per span and side,
+    # peak at about 350 B per gold span here; sentence-by-sentence matching of
+    # the Sentences' own span tuples at about 30 B.
+    rng = np.random.default_rng(3)
+    pairs = [_random_pair(rng, max_sentences=200) for _ in range(8)]
+    gold = [doc for g, _ in pairs for doc in g]
+    pred = [doc for _, p in pairs for doc in p]
+    spans = sum(len(sent.span_bounds) for doc in gold for sent in doc.sentences)
+    assert spans >= 2000
+    for score in (evaluate, iaa, error_breakdown):
+        assert traced_peak(lambda: score(gold, pred)) < 100 * spans, score.__name__
 
 
 def _one_sentence(*texts):
@@ -219,6 +252,13 @@ _MISALIGNED = {
         [Document("a", (_one_sentence("x"),)), Document("b", (_one_sentence("y"), _one_sentence("p", "q", "r")))],
         [Document("a", (_one_sentence("x"),)), Document("b", (_one_sentence("y"), _one_sentence("p", "'q'", "s")))],
         "token mismatch at document 1, sentence 1, token 1: 'q' vs \"'q'\"",
+    ),
+    "token text after differing tags": (
+        [Document("a", (Sentence((Token("x", "B-Symptom"),)), _one_sentence("y"))),
+         Document("b", (_one_sentence("p", "q"),)), Document("c", (_one_sentence("z"),))],
+        [Document("a", (_one_sentence("x"), Sentence((Token("y", "B-Treatment"),)))),
+         Document("b", (_one_sentence("p", "r"),)), Document("c", (_one_sentence("z"), _one_sentence("w")))],
+        "token mismatch at document 1, sentence 0, token 1: 'q' vs 'r'",
     ),
 }
 

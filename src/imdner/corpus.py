@@ -258,6 +258,7 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
     sentence, a -DOCSTART- line starts a new document."""
     labels = labels or LabelSet()
     data = decode_text(data)
+    known = {tag: tag for tag in labels.tags}  # so every parsed tag is the label set's own string
 
     groups: list[list[Sentence]] = []
     cur_sentences: list[Sentence] = []
@@ -291,13 +292,13 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}: {line!r}", line=line_no)
-        text, tag = fields
-        if tag not in labels._tag_ids:  # so it is malformed or has an unknown label
+        text, raw = fields
+        if (tag := known.get(raw)) is None:  # so it is malformed or has an unknown label
             try:
-                _split_tag(tag)
+                _split_tag(raw)
             except TaggingError as e:
                 raise TaggingError(f"{e} ({name} line {line_no})") from e
-            raise SchemaError(f"unknown label {tag[2:]!r} in tag {tag!r} ({name} line {line_no})")
+            raise SchemaError(f"unknown label {raw[2:]!r} in tag {raw!r} ({name} line {line_no})")
         try:
             _check_text(text)
         except ValidationError as e:

@@ -15,7 +15,8 @@ float32 CRF tensors on entry, because in float32 a long sentence's marginals
 drift (about 1% of a marginal at 512 tokens). Viterbi runs in the dtype of
 its inputs, float32 when decoding from a checkpoint. Its ties are broken
 toward the lowest tag index at every backtracking step, so decoding is
-deterministic and directly comparable with exhaustive enumeration.
+deterministic and directly comparable with exhaustive enumeration. Both
+check a batch's lengths with network.sentence_lengths, the network's rule.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .corpus import LabelSet
 from .errors import NumericError, ValidationError, check_finite
-from .network import pack
+from .network import pack, sentence_lengths
 
 # Score of a move the BIO scheme forbids: no emission can beat it.
 MASK_SCORE = -np.inf
@@ -65,19 +66,11 @@ def _factor(x: np.ndarray, name: str):
     return np.exp(x - top), top
 
 
-def _sentence_lengths(lengths, n_tok: int) -> np.ndarray:
-    """lengths as an intp array, [n_tok] for None: each 1 or more, summing to n_tok, or ValidationError."""
-    lengths = np.asarray([n_tok] if lengths is None else lengths, dtype=np.intp)
-    if lengths.ndim != 1 or not lengths.size or lengths.min() < 1 or lengths.sum() != n_tok:
-        raise ValidationError(f"sentence lengths {lengths} must each be 1 or more and sum to the {n_tok} emission rows")
-    return lengths
-
-
 def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tags, lengths=None):
     """(nll, d/d emissions, d/d transitions) of B sentences, every result float64.
 
     emissions (N, K) and gold_tags (N,) hold the sentences back to back, with
-    the given lengths, each 1 or more and summing to N, else ValidationError;
+    the given lengths, integers each 1 or more and summing to N, else ValidationError;
     lengths=None means one sentence. Summed over them:
     nll = log Z - gold path score, log Z summing exp(score) over all paths
     d/d emissions = marginals - onehot(gold), (N, K) in sentence order
@@ -89,7 +82,7 @@ def nll_gradients(emissions: np.ndarray, params: dict[str, np.ndarray], gold_tag
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     n_tok = len(emissions)
-    lengths = _sentence_lengths(lengths, n_tok)
+    lengths = sentence_lengths(lengths, n_tok)
     gold = np.asarray(gold_tags)
     crf = {n: np.asarray(params[n], dtype=np.float64) for n in ("crf.transitions", "crf.start", "crf.end")}
     (trans, m_trans), (start, m_start), (end, m_end) = (_factor(x, n) for n, x in crf.items())
@@ -144,7 +137,7 @@ def viterbi(emissions: np.ndarray, params: dict[str, np.ndarray], lengths=None) 
     their concatenation: tags in sentence order, and score the float64 sum of the sentences' best scores.
     """
     check_finite(emissions, "emissions")
-    lengths = _sentence_lengths(lengths, len(emissions))
+    lengths = sentence_lengths(lengths, len(emissions))
     rows, step_start, active, _, packed_at = pack(lengths)
     trans, start, end = (params[n] for n in ("crf.transitions", "crf.start", "crf.end"))
     # v, packed time-major: the best score of a path that ends at each row's tag, the row's emission included.

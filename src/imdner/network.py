@@ -7,7 +7,8 @@ the parameters it is given: float32 in training and from a checkpoint, and
 float64 when a caller passes float64 weights, as the gradient checks do.
 Dropout applies only when a (rate, seed) pair is supplied, one mask for the
 whole batch drawn from the seed. The forward pass caches every intermediate
-the manual backward pass needs.
+the manual backward pass needs. sentence_lengths, beside pack, is the one
+rule for a batch's lengths, which the CRF applies too.
 
 The weights are the model's one name -> tensor dict: param_shapes declares
 the network's tensors, and the CRF's follow them. The gradients, Adam and the
@@ -157,6 +158,15 @@ def char_features_backward(d_feat, cache, params: dict[str, np.ndarray], grads):
     np.add.at(grads["char_embeddings"], win_idx.ravel(), d_windows.reshape(win_idx.size, -1))
 
 
+def sentence_lengths(lengths, n_tok: int) -> np.ndarray:
+    """lengths as an intp array, [n_tok] for None: integers, each 1 or more, summing to n_tok, or ValidationError."""
+    lengths = np.asarray([n_tok] if lengths is None else lengths)
+    if (lengths.dtype.kind not in "iu" or lengths.ndim != 1 or not lengths.size
+            or lengths.min() < 1 or lengths.sum() != n_tok):
+        raise ValidationError(f"sentence lengths {lengths} must be integers, each 1 or more, summing to {n_tok} tokens")
+    return lengths.astype(np.intp, copy=False)
+
+
 def pack(lengths: np.ndarray):
     """Time-major packing of B sentences sorted by decreasing length.
 
@@ -268,13 +278,9 @@ def emissions_forward(token_texts: list[str], lengths, table: EmbeddingTable, pa
     Dropout (inverted, scaled by 1/(1-rate)) is applied to the LSTM input
     only when dropout is a (rate, seed) pair: one (N, In) mask for the batch.
     """
-    lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
-    if not len(lengths) or lengths.min() < 1:
-        raise ValidationError("emissions require at least one sentence and one token per sentence")
+    lengths = sentence_lengths(lengths, len(token_texts))
     if lengths.max() > MAX_SENTENCE_LEN:
         raise ValidationError(f"sentence of {lengths.max()} tokens exceeds the {MAX_SENTENCE_LEN}-token limit")
-    if lengths.sum() != len(token_texts):
-        raise ValidationError(f"{len(token_texts)} tokens given for sentences of {lengths.sum()} tokens")
     word_dim = params["lstm.wx"].shape[2] - len(params["conv_bias"])
     if table.dim != word_dim:
         raise ValidationError(f"embedding dim {table.dim} does not match the network's word_dim {word_dim}")

@@ -232,16 +232,6 @@ def _header_end(path) -> tuple[int, int]:
         return f.tell(), os.fstat(f.fileno()).st_size
 
 
-def _read_payload(path, start: int, payload: np.ndarray) -> None:
-    """Fill payload with the bytes of path from start on, which must be exactly as many."""
-    with open(path, "rb") as f:
-        f.seek(start)
-        got = f.readinto(payload)
-        size = os.fstat(f.fileno()).st_size - start
-    if got != payload.nbytes or size != payload.nbytes:
-        raise IntegrityError(f"checkpoint payload changed size while it was read: {size} bytes")
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint whose tensor listing is the layout its own shapes declare.
 
@@ -258,44 +248,49 @@ def load_checkpoint(path) -> Checkpoint:
     same size left when it was freed, whatever was allocated around that
     block since: the peak memory of a reload does not depend on the heap's
     history. A file too large for memory fails with MemoryError before its
-    header is checked.
+    header is checked. So the scan for the header's end has an open of its
+    own, closed before that allocation; then one handle reads the header and
+    the payload, and a file replaced by rename mid-load is read as one file.
+    A file rewritten in place is caught only when its size changes.
     """
     payload_start, file_bytes = _header_end(path)
     payload_bytes = file_bytes - payload_start
     payload = np.empty(payload_bytes // 4, dtype="<f4")
     with open(path, "rb") as f:
-        header_line = f.read(payload_start)
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:  # the last: nested too deep
-        raise IntegrityError(f"unreadable checkpoint header: {e}") from e
-    if not isinstance(header, dict):
-        raise IntegrityError("checkpoint header is not a JSON object")
+        try:
+            header = json.loads(f.read(payload_start).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:  # the last: nested too deep
+            raise IntegrityError(f"unreadable checkpoint header: {e}") from e
+        if not isinstance(header, dict):
+            raise IntegrityError("checkpoint header is not a JSON object")
 
-    version = header.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersionError(version, CHECKPOINT_VERSION)
+        version = header.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise UnsupportedVersionError(version, CHECKPOINT_VERSION)
 
-    try:
-        labels = LabelSet(tuple(_header_field(header, "labels", list)))
-        vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
-        words = _header_field(header, "embedding_words", list)
-        listing = _header_field(header, "tensors", list)
-        shapes = dict(listing)
-    except (TypeError, ValueError, ValidationError) as e:
-        raise IntegrityError(f"inconsistent checkpoint: {e}") from e
+        try:
+            labels = LabelSet(tuple(_header_field(header, "labels", list)))
+            vocab = CharVocab(tuple(_header_field(header, "char_vocab", str)))
+            words = _header_field(header, "embedding_words", list)
+            listing = _header_field(header, "tensors", list)
+            shapes = dict(listing)
+        except (TypeError, ValueError, ValidationError) as e:
+            raise IntegrityError(f"inconsistent checkpoint: {e}") from e
 
-    layout = _layout(shapes, labels, vocab, words)
-    listed = [json.dumps(entry) for entry in listing]
-    declared = [json.dumps([name, list(shape)]) for name, shape in layout]
-    for got, want in itertools.zip_longest(listed, declared, fillvalue="no tensor"):
-        if got != want:
-            raise IntegrityError(f"the checkpoint lists {got} where its shapes declare {want}")
-    sizes = [math.prod(shape) for _, shape in layout]
-    expected = sum(sizes) * 4
-    if payload_bytes != expected:
-        raise IntegrityError(f"checkpoint payload has {payload_bytes} bytes, expected {expected}")
-    _read_payload(path, payload_start, payload)
+        layout = _layout(shapes, labels, vocab, words)
+        listed = [json.dumps(entry) for entry in listing]
+        declared = [json.dumps([name, list(shape)]) for name, shape in layout]
+        for got, want in itertools.zip_longest(listed, declared, fillvalue="no tensor"):
+            if got != want:
+                raise IntegrityError(f"the checkpoint lists {got} where its shapes declare {want}")
+        sizes = [math.prod(shape) for _, shape in layout]
+        expected = sum(sizes) * 4
+        if payload_bytes != expected:
+            raise IntegrityError(f"checkpoint payload has {payload_bytes} bytes, expected {expected}")
+        filled = f.readinto(payload)
+        size = os.fstat(f.fileno()).st_size - payload_start
+    if filled != payload.nbytes or size != payload.nbytes:
+        raise IntegrityError(f"checkpoint payload changed size while it was read: {size} bytes")
 
     offsets = np.cumsum([0, *sizes])
     params = {name: payload[a:b].reshape(shape) for (name, shape), a, b in zip(layout, offsets, offsets[1:])}

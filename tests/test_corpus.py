@@ -175,6 +175,12 @@ class TestParseConll:
             [s.tags for s in d.sentences] for d in toy_corpus
         ]
 
+    def test_every_parsed_tag_is_the_label_sets_own_string(self, data_dir, toy_labels):
+        docs = parse_conll(data_dir.joinpath("toy_corpus.conll").read_bytes(), toy_labels)
+        tags = [tag for doc in docs for sent in doc.sentences for tag in sent.tags]
+        assert {tag[0] for tag in tags} == {"O", "B", "I"}
+        assert all(any(tag is own for own in toy_labels.tags) for tag in tags)
+
     @pytest.mark.parametrize("text", ["\ufeffx", "\ufeff"])
     def test_a_first_token_that_starts_with_u_feff_round_trips(self, text):
         sentence = Sentence((Token(text, "O"), Token("y", "B-Symptom")))

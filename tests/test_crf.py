@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from imdner import crf as C
+from imdner import network as N
 from imdner.corpus import LabelSet, validate_bio
+from imdner.embeddings import CharVocab
 from imdner.errors import NumericError, ValidationError
 
 from crf_oracle import brute_force_oracle, log_z_and_marginals, path_score
@@ -152,14 +154,20 @@ class TestViterbi:
 
 
 class TestLengths:
-    # Each is 1 or more and they sum to the 3 emission rows, or neither function reads them.
-    @pytest.mark.parametrize("lengths", [[0, 3], [3, 0], [1, 1], [2, 2]], ids=lambda l: "+".join(map(str, l)))
-    def test_lengths_that_do_not_split_the_rows_are_refused(self, lengths):
+    # Integers, each 1 or more, that sum to the 3 emission rows, or none of the three functions reads them.
+    @pytest.mark.parametrize("lengths", [[0, 3], [3, 0], [1, 1], [2, 2], [1.5, 2.5]],
+                             ids=lambda l: "+".join(map(str, l)))
+    def test_lengths_that_do_not_split_the_rows_are_refused(self, toy_table, lengths):
         emis, params = random_instance(np.random.default_rng(3), T=3, K=4)
         with pytest.raises(ValidationError, match="sentence lengths"):
             C.viterbi(emis, params, lengths)
         with pytest.raises(ValidationError, match="sentence lengths"):
             C.nll_gradients(emis, params, [0, 1, 2], lengths)
+        vocab = CharVocab(tuple("abc"))
+        config = N.NetworkConfig(num_tags=4, word_dim=toy_table.dim, char_filter_count=2, lstm_hidden=2)
+        params = N.init_network_params(config, len(vocab), np.random.default_rng(3))
+        with pytest.raises(ValidationError, match="sentence lengths"):
+            N.emissions_forward(["a", "b", "c"], lengths, toy_table, params, vocab)
 
 
 class TestMarginals:

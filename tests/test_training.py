@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import os
 import re
 
 import numpy as np
@@ -625,10 +627,18 @@ class TestCheckpoint:
             "json-without-newline": b'{"format_version": 1, "tensors": []' + b" " * 100_000,
             "truncated-checkpoint": path.read_bytes()[:-4],
         }[kind]
-        path.write_bytes(data)
         reads = []
-        real_read = T._read_payload
-        monkeypatch.setattr(T, "_read_payload", lambda *a: reads.append(a) or real_read(*a))
+
+        class Reader(io.BufferedReader):  # records the payload read, the one readinto a load makes
+            def readinto(self, buffer):
+                reads.append(len(buffer))
+                return super().readinto(buffer)
+
+        monkeypatch.setattr(T, "open", lambda file, mode: Reader(io.FileIO(file, mode)), raising=False)
+        T.load_checkpoint(path)
+        assert len(reads) == 1  # so the hook sees the read that a refusal must not make
+        reads.clear()
+        path.write_bytes(data)
         with pytest.raises(IntegrityError):
             T.load_checkpoint(path)
         assert reads == []
@@ -644,6 +654,27 @@ class TestCheckpoint:
         monkeypatch.setattr(json, "loads", lambda *a, **kw: events.append("loads") or real_loads(*a, **kw))
         T.load_checkpoint(path)
         assert events[:2] == ["empty", "loads"]
+
+    def test_a_checkpoint_replaced_mid_load_is_read_as_one_file(self, trained, tmp_path, monkeypatch):
+        _, result = trained
+        ckpt = result.checkpoint
+        path, other = tmp_path / "model.ckpt", tmp_path / "other.ckpt"
+        T.save_checkpoint(dataclasses.replace(ckpt, metadata={**ckpt.metadata, "seed": 13}), path)
+        shifted = {name: arr + 1 for name, arr in ckpt.params.items()}
+        T.save_checkpoint(dataclasses.replace(ckpt, params=shifted, metadata={**ckpt.metadata, "seed": 14}), other)
+        assert path.stat().st_size == other.stat().st_size
+        real_loads = json.loads
+
+        def loads_then_replace(*a, **kw):  # the other file is renamed over the path while the header is parsed
+            if other.exists():
+                os.replace(other, path)
+            return real_loads(*a, **kw)
+
+        monkeypatch.setattr(json, "loads", loads_then_replace)
+        loaded = T.load_checkpoint(path)
+        assert not other.exists()
+        assert loaded.metadata["seed"] == 13
+        assert all(np.array_equal(loaded.params[k], v) for k, v in ckpt.params.items())
 
     def test_a_header_with_no_newline_is_read_only_to_its_first_control_byte(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
@@ -220,14 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ImdnerError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except MemoryError as e:  # numpy's says how much it could not allocate
-        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # each warning one line; the old handler is back on return
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ImdnerError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        except MemoryError as e:  # numpy's says how much it could not allocate
+            print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

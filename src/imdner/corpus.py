@@ -358,24 +358,20 @@ def corpus_stats(docs: list[Document]) -> CorpusStats:
 
 
 _SENT_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
-_PUNCT = set(string.punctuation)
 
 
 def _split_token(word: str) -> list[str]:
-    """Peel leading/trailing punctuation into their own tokens.
+    """Peel leading/trailing punctuation into tokens of one character each.
 
-    Internal hyphens and slashes are left alone so forms like "anti-dsDNA"
-    survive intact.
+    At least one character stays as the core, so a word of punctuation alone
+    ends in its last character. Internal hyphens and slashes are left alone
+    so forms like "anti-dsDNA" survive intact. Each run is measured once by
+    lstrip/rstrip, so a long run of punctuation costs time linear in its length.
     """
-    leading, trailing = [], []
-    core = word
-    while len(core) > 1 and core[0] in _PUNCT:
-        leading.append(core[0])
-        core = core[1:]
-    while len(core) > 1 and core[-1] in _PUNCT:
-        trailing.append(core[-1])
-        core = core[:-1]
-    return leading + [core] + list(reversed(trailing))
+    n = len(word)
+    lead = min(n - len(word.lstrip(string.punctuation)), n - 1)
+    trail = min(n - len(word.rstrip(string.punctuation)), n - 1 - lead)
+    return [*word[:lead], word[lead:n - trail], *word[n - trail:]]
 
 
 def tokenize_raw(text: bytes | str) -> list[Sentence]:

@@ -213,25 +213,6 @@ def _header_field(header: dict, key: str, kind: type):
     return value
 
 
-def _header_end(path) -> tuple[int, int]:
-    """(offset just past the header line, file size) of a checkpoint file.
-
-    The header is read in chunks and none is kept, so a file with no newline
-    is read only as far as its first byte that JSON text cannot hold.
-    """
-    with open(path, "rb") as f:
-        if f.read(1) != b"{":  # so a file of another kind is not read to its first newline
-            raise IntegrityError("not a checkpoint: it does not start with a JSON header")
-        f.seek(0)
-        chunk, offset = f.readline(_HEADER_CHUNK), 0
-        while len(chunk) == _HEADER_CHUNK and not chunk.endswith(b"\n"):
-            if raw := _RAW_CONTROL.search(chunk):
-                at = offset + raw.start()
-                raise IntegrityError(f"unreadable checkpoint header: byte {raw[0]!r} at offset {at} is not JSON text")
-            chunk, offset = f.readline(_HEADER_CHUNK), offset + len(chunk)
-        return f.tell(), os.fstat(f.fileno()).st_size
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint whose tensor listing is the layout its own shapes declare.
 
@@ -248,15 +229,28 @@ def load_checkpoint(path) -> Checkpoint:
     same size left when it was freed, whatever was allocated around that
     block since: the peak memory of a reload does not depend on the heap's
     history. A file too large for memory fails with MemoryError before its
-    header is checked. So the scan for the header's end has an open of its
-    own, closed before that allocation; then one handle reads the header and
-    the payload, and a file replaced by rename mid-load is read as one file.
-    A file rewritten in place is caught only when its size changes.
+    header is checked. Before that allocation the header's end is found in
+    chunks, none kept, so a file with no newline is read only as far as its
+    first byte that JSON text cannot hold. One open file serves the load from
+    its first byte to its last, so a file replaced by rename at any point of
+    a load is read as one file. A file rewritten in place is caught only
+    when its size changes.
     """
-    payload_start, file_bytes = _header_end(path)
-    payload_bytes = file_bytes - payload_start
-    payload = np.empty(payload_bytes // 4, dtype="<f4")
     with open(path, "rb") as f:
+        if f.read(1) != b"{":  # so a file of another kind is not read to its first newline
+            raise IntegrityError("not a checkpoint: it does not start with a JSON header")
+        f.seek(0)
+        chunk, offset = f.readline(_HEADER_CHUNK), 0
+        while len(chunk) == _HEADER_CHUNK and not chunk.endswith(b"\n"):
+            if raw := _RAW_CONTROL.search(chunk):
+                at = offset + raw.start()
+                raise IntegrityError(f"unreadable checkpoint header: byte {raw[0]!r} at offset {at} is not JSON text")
+            chunk, offset = f.readline(_HEADER_CHUNK), offset + len(chunk)
+        del chunk  # up to _HEADER_CHUNK bytes, not held across the payload's allocation
+        payload_start = f.tell()
+        payload_bytes = os.fstat(f.fileno()).st_size - payload_start
+        payload = np.empty(payload_bytes // 4, dtype="<f4")
+        f.seek(0)
         try:
             header = json.loads(f.read(payload_start).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:  # the last: nested too deep

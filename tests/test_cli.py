@@ -378,6 +378,20 @@ def test_overflowing_or_non_finite_weights_give_a_result_or_one_error_line(tenso
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
 
 
+def test_a_warning_is_one_line(model_path, tmp_path):
+    # In a subprocess, so that the warning reaches stderr instead of pytest's warning capture.
+    raw = tmp_path / "note.txt"
+    raw.write_text("fever " * 600)
+    proc = subprocess.run(
+        [sys.executable, "-m", "imdner.cli", "predict", "--model", str(model_path), "--input", str(raw), "--raw",
+         "--out", str(tmp_path / "out.conll")],
+        env={**os.environ, "PYTHONPATH": str(Path(imdner.__file__).resolve().parent.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: splitting a 600-token sentence at the 512-token boundary\n"
+
+
 # Fragments of CoNLL text, good and bad, so that random joins reach past the
 # UTF-8 decoder and the line splitter into tags, spans and the graph.
 _TEXTS = [b"SLE", b"pain", b"C:\\", b'"', b"\xc3\xa9", b"\x00", b" ", b"\x0b", b"\r", b"\xff", b"\xef\xbb\xbf", b""]

@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import pickle
 import random
+import string
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -361,6 +363,19 @@ class TestCorpusStats:
             assert whole.entity_counts[lab] == a.entity_counts.get(lab, 0) + b.entity_counts.get(lab, 0)
 
 
+def per_character_split_token(word):
+    """Punctuation peeled from a word's ends one character a step, as a reference for _split_token."""
+    leading, trailing = [], []
+    core = word
+    while len(core) > 1 and core[0] in string.punctuation:
+        leading.append(core[0])
+        core = core[1:]
+    while len(core) > 1 and core[-1] in string.punctuation:
+        trailing.append(core[-1])
+        core = core[:-1]
+    return leading + [core] + list(reversed(trailing))
+
+
 class TestTokenizeRaw:
     def test_simple_sentence(self):
         sents = tokenize_raw("Fever persisted.")
@@ -384,6 +399,19 @@ class TestTokenizeRaw:
     def test_sentence_boundaries(self):
         sents = tokenize_raw("Fever rose. Rash appeared! Was it SLE? Yes.")
         assert len(sents) == 4
+
+    @settings(max_examples=500)
+    @given(st.text("ab.,()-!?\"'", min_size=1, max_size=12))
+    def test_split_token_matches_the_per_character_reference(self, word):
+        assert corpus_module._split_token(word) == per_character_split_token(word)
+
+    def test_a_long_punctuation_run_is_tokenized_in_linear_time(self):
+        run = "=" * 400_000
+        start = time.perf_counter()
+        sents = tokenize_raw(f"Fever {run} rose.")
+        elapsed = time.perf_counter() - start
+        assert sents[0].texts == ("Fever", *run, "rose", ".")
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 class TestTypes:

@@ -655,22 +655,29 @@ class TestCheckpoint:
         T.load_checkpoint(path)
         assert events[:2] == ["empty", "loads"]
 
-    def test_a_checkpoint_replaced_mid_load_is_read_as_one_file(self, trained, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("module, hook, longer", [
+        (json, "loads", 0),  # a file of the same size, renamed while the header is parsed
+        (np, "empty", 40),  # a longer header, renamed when the payload buffer is allocated
+    ], ids=["same-size-at-parse", "longer-header-at-allocation"])
+    def test_a_checkpoint_replaced_mid_load_is_read_as_one_file(self, trained, tmp_path, monkeypatch, module, hook,
+                                                                longer):
         _, result = trained
         ckpt = result.checkpoint
         path, other = tmp_path / "model.ckpt", tmp_path / "other.ckpt"
         T.save_checkpoint(dataclasses.replace(ckpt, metadata={**ckpt.metadata, "seed": 13}), path)
         shifted = {name: arr + 1 for name, arr in ckpt.params.items()}
-        T.save_checkpoint(dataclasses.replace(ckpt, params=shifted, metadata={**ckpt.metadata, "seed": 14}), other)
-        assert path.stat().st_size == other.stat().st_size
-        real_loads = json.loads
+        padding = {"note": "x" * (longer - len(', "note": ""'))} if longer else {}
+        T.save_checkpoint(dataclasses.replace(ckpt, params=shifted, metadata={**ckpt.metadata, "seed": 14, **padding}),
+                          other)
+        assert other.stat().st_size - path.stat().st_size == longer
+        real = getattr(module, hook)
 
-        def loads_then_replace(*a, **kw):  # the other file is renamed over the path while the header is parsed
+        def replace_then_call(*a, **kw):  # the other file is renamed over the path, once
             if other.exists():
                 os.replace(other, path)
-            return real_loads(*a, **kw)
+            return real(*a, **kw)
 
-        monkeypatch.setattr(json, "loads", loads_then_replace)
+        monkeypatch.setattr(module, hook, replace_then_call)
         loaded = T.load_checkpoint(path)
         assert not other.exists()
         assert loaded.metadata["seed"] == 13

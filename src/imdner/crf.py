@@ -162,28 +162,17 @@ def viterbi(emissions: np.ndarray, params: dict[str, np.ndarray], lengths=None) 
     return PathScore(tuple(y[packed_at].tolist()), float(best.sum(dtype=np.float64)))
 
 
-def bio_transition_mask(labels: LabelSet) -> np.ndarray:
-    """(num_tags+1, num_tags) additive mask; row num_tags masks start scores.
+def masked(params: dict[str, np.ndarray], labels: LabelSet) -> dict[str, np.ndarray]:
+    """The CRF tensors of params with the hard BIO mask applied, for decoding only.
 
-    Invalid moves (O -> I-X, B-X -> I-Y, I-X -> I-Y, start -> I-X) get
-    MASK_SCORE; everything else 0.
+    Invalid moves (O -> I-X, B-X -> I-Y, I-X -> I-Y, start -> I-X) score -inf,
+    so Viterbi output is BIO-valid whatever the emissions; other moves keep
+    their weights. Not fit for gradients. A float32 CRF decodes in float32.
     """
     label = np.array([t[2:] for t in labels.tags])  # "" for O
     inside = np.array([t.startswith("I-") for t in labels.tags])
     # I-X may follow only B-X or I-X, the tags that share its label.
     forbidden = inside & (label[:, None] != label)
-    return np.where(np.vstack([forbidden, inside]), MASK_SCORE, 0.0)
-
-
-@np.errstate(invalid="ignore")  # inf + MASK_SCORE is NaN, which viterbi rejects
-def masked(params: dict[str, np.ndarray], labels: LabelSet) -> dict[str, np.ndarray]:
-    """The CRF tensors of params with the hard BIO mask applied, for decoding only.
-
-    Invalid moves score -inf, so Viterbi output is BIO-valid whatever the
-    emissions; the result is not fit for gradients. It keeps the dtype of
-    the CRF tensors, so a float32 CRF decodes in float32.
-    """
-    trans = params["crf.transitions"]
-    mask = bio_transition_mask(labels).astype(trans.dtype, copy=False)
-    return {"crf.transitions": trans + mask[:-1], "crf.start": params["crf.start"] + mask[-1],
+    return {"crf.transitions": np.where(forbidden, MASK_SCORE, params["crf.transitions"]),
+            "crf.start": np.where(inside, MASK_SCORE, params["crf.start"]),
             "crf.end": params["crf.end"].copy()}

@@ -134,7 +134,7 @@ class CharVocab:
     """
 
     chars: tuple[str, ...]
-    index: dict[str, int] = field(default_factory=dict, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "chars", tuple(self.chars))

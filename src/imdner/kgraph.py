@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .corpus import Document, LabelSet
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,7 @@ class RelationRule:
     window: int = 1  # max sentence distance
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.relation_name:
             raise ValidationError("relation_name must be non-empty")
         if self.window < 0:

@@ -128,15 +128,15 @@ def loss_and_gradients(batch: list[Sentence], params: dict[str, np.ndarray], tab
     return total * scale, grads
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NORM):
-    """Scale grads in place to a global L2 norm of at most max_norm; returns
-    the norm before clipping. A NaN or Inf norm raises NumericError."""
+def clip_gradients(grads: dict[str, np.ndarray]):
+    """Scale grads in place to a global L2 norm of at most GRAD_CLIP_NORM;
+    returns the norm before clipping. A NaN or Inf norm raises NumericError."""
     # A Python float, so that the float32 scaling below is not buffered through float64.
     total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if not np.isfinite(total):
         raise NumericError(f"non-finite gradient norm {total}")
-    if total > max_norm:
-        factor = max_norm / total
+    if total > GRAD_CLIP_NORM:
+        factor = GRAD_CLIP_NORM / total
         for g in grads.values():
             g *= factor
     return total

@@ -406,7 +406,8 @@ _CORPUS_BYTES = (
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_CORPUS_BYTES, argv=st.sampled_from([["kg"], ["kg", "--format", "dot"], ["stats"]]))
+@given(data=_CORPUS_BYTES, argv=st.sampled_from([["kg"], ["kg", "--format", "dot"], ["kg", "--window", "0"],
+                                                  ["kg", "--window", "-1"], ["stats"]]))
 @example(data=b"C:\\\tB-Symptom\nSLE\tB-Immune_Mediated_Disease\n", argv=["kg", "--format", "dot"])
 @example(data=b"a\tI-Symptom\n", argv=["stats"])
 @example(data=b"\xef\xbb\xbf-DOCSTART-\r\n\r\n", argv=["kg"])

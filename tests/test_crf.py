@@ -259,9 +259,23 @@ class TestBioMask:
             C.viterbi(emis, C.masked(params, labels))
 
     def test_mask_blocks_start_with_inside_tag(self):
-        labels = LabelSet(("Symptom",))
-        mask = C.bio_transition_mask(labels)
-        i_idx = labels.tag_index("I-Symptom")
-        assert mask[labels.num_tags, i_idx] == C.MASK_SCORE  # start row
-        assert mask[labels.tag_index("O"), i_idx] == C.MASK_SCORE
-        assert mask[labels.tag_index("B-Symptom"), i_idx] == 0.0
+        labels = LabelSet(("Symptom", "Treatment"))
+        K = labels.num_tags
+        tag = labels.tag_index
+        out = C.masked(zero_params(K), labels)
+        # start -> I-X, and O -> I-X, B-Y -> I-X and I-Y -> I-X for every other label Y.
+        assert set(np.flatnonzero(out["crf.start"] == C.MASK_SCORE)) == {tag("I-Symptom"), tag("I-Treatment")}
+        expected = {(tag(prev), tag(f"I-{x}")) for x, y in [("Symptom", "Treatment"), ("Treatment", "Symptom")]
+                    for prev in ("O", f"B-{y}", f"I-{y}")}
+        assert set(zip(*np.nonzero(out["crf.transitions"] == C.MASK_SCORE))) == expected
+        assert not out["crf.end"].any()
+
+        # Every move the mask allows keeps its weight bitwise, in both precisions.
+        rng = np.random.default_rng(3)
+        for dtype in (np.float64, np.float32):
+            params = {k: v.astype(dtype) for k, v in random_instance(rng, K=K)[1].items()}
+            got = C.masked(params, labels)
+            for name, allowed in [("crf.transitions", out["crf.transitions"] == 0), ("crf.start", out["crf.start"] == 0),
+                                  ("crf.end", np.ones(K, bool))]:
+                assert got[name].dtype == dtype
+                assert got[name][allowed].tobytes() == params[name][allowed].tobytes()

@@ -1,11 +1,53 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imdner.corpus import parse_conll
 from imdner.embeddings import CharVocab, EmbeddingTable, build_char_vocab, load_embeddings
 from imdner.errors import FormatError, ParseError, ValidationError
 
 from conftest import traced_peak
+
+
+def naive_load_embeddings(text: str):
+    """(words, float32 matrix) of an LF-ended, well-formed embedding file:
+    an optional `<count> <dim>` first line, blank lines skipped, float() per
+    value, and a repeated word at its first row with its last vector."""
+    lines = text.split("\n")
+    try:
+        count, dim = lines[0].split()
+        int(count), int(dim)
+        lines = lines[1:]
+    except ValueError:
+        pass
+    rows = {}
+    for line in lines:
+        if line.strip():
+            word, *values = line.strip().split(" ")
+            rows[word] = [float(v) for v in values]
+    return tuple(rows), np.array(list(rows.values()), dtype=np.float64).astype(np.float32)
+
+
+# Pieces that reach the header check, the field splitter and float(): separators, numbers, nan/inf, NUL, CR,
+# a BOM and a vertical tab, which str.strip removes but the line walk does not split on.
+_EMBEDDING_PIECES = [" ", "\t", "\n", "\r", "\r\n", "\x00", "\ufeff", "\x0b", *"0123456789", ".", "-", "+", "e", "_",
+                     "nan", "inf", "w"]
+
+
+@st.composite
+def well_formed_embedding_files(draw):
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.text("abzAZé-_", min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+    value = st.builds(lambda x, fmt: fmt(x), st.floats(-3e38, 3e38, allow_nan=False),
+                      st.sampled_from([repr, "{:.3g}".format, "{:e}".format, "{:+.9f}".format]))
+    pad = st.sampled_from(["", " ", "\t", " \t"])
+    entry = st.builds(lambda lead, word, values, trail: lead + " ".join([word, *values]) + trail,
+                      pad, st.sampled_from(pool), st.lists(value, min_size=dim, max_size=dim), pad)
+    lines = draw(st.lists(entry | pad, min_size=1, max_size=12).filter(lambda ls: any(map(str.strip, ls))))
+    if draw(st.booleans()):
+        lines.insert(0, f"{draw(st.integers(0, 99))} {dim}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestLoadEmbeddings:
@@ -162,6 +204,26 @@ class TestLoadEmbeddings:
             assert toy_table.lookup(word).shape == (8,)
 
 
+class TestLoadEmbeddingsProperties:
+    @given(st.lists(st.sampled_from(_EMBEDDING_PIECES), max_size=40).map("".join), st.booleans())
+    @settings(deadline=None)
+    def test_any_text_is_a_table_or_a_parse_error(self, text, as_bytes):
+        try:
+            table = load_embeddings(text.encode() if as_bytes else text)
+        except ParseError:  # FormatError included
+            return
+        assert isinstance(table, EmbeddingTable)
+        assert table.matrix.dtype == np.float32 and np.isfinite(table.matrix).all()
+
+    @given(well_formed_embedding_files())
+    @settings(deadline=None)
+    def test_a_well_formed_file_loads_as_the_naive_parser_reads_it(self, text):
+        words, matrix = naive_load_embeddings(text)
+        table = load_embeddings(text)
+        assert table.words == words
+        assert table.matrix.shape == matrix.shape and table.matrix.tobytes() == matrix.tobytes()
+
+
 class TestCharVocab:
     def test_single_token(self):
         docs = parse_conll("ab\tO\n")
@@ -193,6 +255,11 @@ class TestCharVocab:
     def test_duplicate_chars_rejected(self):
         with pytest.raises(ValidationError):
             CharVocab(("a", "a"))
+
+    def test_index_is_not_an_argument(self):
+        # It is always built from chars, so passing one would be silently overwritten.
+        with pytest.raises(TypeError):
+            CharVocab(("a",), index={"a": 5})
 
 
 class TestEmbeddingTable:

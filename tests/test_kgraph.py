@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import kgraph_oracle as oracle
 from imdner.corpus import Document, LabelSet, Sentence, Token
-from imdner.errors import ConfigError
+from imdner.errors import ConfigError, ValidationError
 from imdner.kgraph import (
     DEFAULT_RULES,
     Edge,
@@ -66,6 +66,13 @@ class TestExtract:
     def test_unknown_label_in_rule(self):
         with pytest.raises(ConfigError):
             extract_graph([simple_doc()], [RelationRule("Nope", "Symptom", "X")], LABELS)
+
+    @pytest.mark.parametrize("window", [1.5, True, "2"])
+    def test_window_must_be_an_int(self, window):
+        # _near takes its range branch by how many sentences hold a label, so a float window would pass on
+        # some documents and fail on others.
+        with pytest.raises(ValidationError, match="window"):
+            RelationRule("Immune_Mediated_Disease", "Symptom", "HAS_SYMPTOM", window)
 
     def test_monotone_in_documents(self):
         doc = simple_doc()

@@ -218,21 +218,21 @@ class TestClipping:
 
     def test_large_gradients_scaled_to_norm(self):
         grads = {"a": np.full(4, 100.0), "b": np.full(3, -50.0)}
-        T.clip_gradients(grads, max_norm=5.0)
+        T.clip_gradients(grads)
         norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
         assert norm == pytest.approx(5.0)
 
     def test_small_gradients_untouched(self):
         grads = {"a": np.array([0.1, -0.2])}
-        T.clip_gradients(grads, max_norm=5.0)
+        T.clip_gradients(grads)
         assert np.array_equal(grads["a"], [0.1, -0.2])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_norm_raises(self, bad):
-        # NaN > max_norm is False, so a bare comparison would pass NaN on to Adam.
+        # NaN > GRAD_CLIP_NORM is False, so a bare comparison would pass NaN on to Adam.
         grads = {"a": np.array([0.1, bad])}
         with pytest.raises(NumericError, match="non-finite gradient norm"):
-            T.clip_gradients(grads, max_norm=5.0)
+            T.clip_gradients(grads)
 
 
 class TestTrain:

@@ -51,9 +51,9 @@ def check_finite(arr, stage):
 
 
 def check_field_types(obj):
-    """Raise ValidationError for the first `int` or `float` field of dataclass
-    `obj` that holds a bool or a value of another type."""
-    kinds = {"int": numbers.Integral, "float": numbers.Real}
+    """Raise ValidationError for the first `int`, `float` or `str` field of
+    dataclass `obj` that holds a bool or a value of another type."""
+    kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in kinds and (isinstance(value, bool) or not isinstance(value, kinds[f.type])):

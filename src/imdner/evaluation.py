@@ -5,9 +5,11 @@ the same half-open token range exists in the same sentence; matching is
 one-to-one. Zero denominators yield 0, not an error.
 
 `evaluate`, `error_breakdown` and `iaa` each make one `_walk` over the two
-corpora, which reads the spans each Sentence decoded when it was built. A span
-can only match inside its own sentence, so matching goes sentence pair by
-sentence pair and builds no per-span key. Nothing is cached between calls.
+corpora, which checks their alignment, names the first difference itself, and
+reads the spans each Sentence decoded when it was built. A span can only match
+inside its own sentence, so only the sentence pairs whose tags differ are
+matched, pair by pair, and no per-span key is built; a label's fp and fn are
+its span totals minus its tp. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from .corpus import Document, LabelSet
 from .errors import AlignmentError, ValidationError
@@ -73,34 +76,23 @@ def _walk(gold: list[Document], pred: list[Document]):
     if len(gold) != len(pred):
         raise AlignmentError(f"corpora have {len(gold)} vs {len(pred)} documents")
     agreed, gold_diff, pred_diff = [], [], []
-    for g, p in zip(gold, pred):
+    for d, (g, p) in enumerate(zip(gold, pred)):
         if len(g.sentences) != len(p.sentences):
-            _raise_first_difference(gold, pred)
-        for gs, ps in zip(g.sentences, p.sentences):
+            raise AlignmentError(f"document {d} ({g.id}): {len(g.sentences)} vs {len(p.sentences)} sentences")
+        for s, (gs, ps) in enumerate(zip(g.sentences, p.sentences)):
             if gs.texts != ps.texts:
-                _raise_first_difference(gold, pred)
+                if len(gs) != len(ps):
+                    raise AlignmentError(f"document {d}, sentence {s}: {len(gs)} vs {len(ps)} tokens")
+                t = next(t for t, (a, b) in enumerate(zip(gs.texts, ps.texts)) if a != b)
+                raise AlignmentError(
+                    f"token mismatch at document {d}, sentence {s}, token {t}: {gs.texts[t]!r} vs {ps.texts[t]!r}"
+                )
             if gs.tags == ps.tags:
                 agreed += gs.span_bounds
             else:
                 gold_diff.append(gs)
                 pred_diff.append(ps)
     return agreed, gold_diff, pred_diff
-
-
-def _raise_first_difference(gold: list[Document], pred: list[Document]):
-    """The error path of `_walk`, which keeps no positions: walk again, with
-    them, to name the first sentence or token where the corpora differ."""
-    for d, (g, p) in enumerate(zip(gold, pred)):
-        if len(g.sentences) != len(p.sentences):
-            raise AlignmentError(f"document {d} ({g.id}): {len(g.sentences)} vs {len(p.sentences)} sentences")
-        for s, (gs, ps) in enumerate(zip(g.sentences, p.sentences)):
-            if len(gs) != len(ps):
-                raise AlignmentError(f"document {d}, sentence {s}: {len(gs)} vs {len(ps)} tokens")
-            if gs.texts != ps.texts:
-                t = next(t for t, (a, b) in enumerate(zip(gs.texts, ps.texts)) if a != b)
-                raise AlignmentError(
-                    f"token mismatch at document {d}, sentence {s}, token {t}: {gs.texts[t]!r} vs {ps.texts[t]!r}"
-                )
 
 
 def aggregate(per_label: list[LabelMetrics]):
@@ -118,36 +110,28 @@ def aggregate(per_label: list[LabelMetrics]):
     micro = (micro_m.precision, micro_m.recall, micro_m.f1)
 
     n = len(per_label)
-    macro = (
-        sum(m.precision for m in per_label) / n,
-        sum(m.recall for m in per_label) / n,
-        sum(m.f1 for m in per_label) / n,
-    )
-
-    total = sum(m.support for m in per_label)
-    if total:
-        weighted = (
-            sum(m.precision * m.support for m in per_label) / total,
-            sum(m.recall * m.support for m in per_label) / total,
-            sum(m.f1 * m.support for m in per_label) / total,
-        )
-    else:
-        weighted = (0.0, 0.0, 0.0)
-    return micro, macro, weighted
+    supports = [m.support for m in per_label]
+    total = sum(supports)
+    macro, weighted = [], []
+    for column in zip(*((m.precision, m.recall, m.f1) for m in per_label)):
+        macro.append(sum(column) / n)
+        weighted.append(sum(map(operator.mul, column, supports)) / total if total else 0.0)
+    return micro, tuple(macro), tuple(weighted)
 
 
 def _report(agreed: list, gold_diff: list, pred_diff: list, labels: LabelSet | None) -> EvalReport:
-    """Match each differing sentence pair's spans on their own: flat annotation
-    makes a span unique in its sentence, so one-to-one matching is set intersection."""
+    """Score the spans `_walk` returns. Flat annotation makes a span unique in
+    its sentence, so a differing pair's true positives are its gold and
+    predicted spans' intersection; a label's fp and fn are its predicted and
+    gold span totals minus its tp. Labels outside `labels` are not scored."""
     labels = labels or LabelSet()
-    matched, fp, fn = agreed, [], []
+    matched = [*agreed]
     for gs, ps in zip(gold_diff, pred_diff):
-        g, p = set(gs.span_bounds), set(ps.span_bounds)
-        matched += g & p
-        fp += p - g
-        fn += g - p
-    tp, fp, fn = (Counter(map(operator.itemgetter(2), spans)) for spans in (matched, fp, fn))
-    per_label = [LabelMetrics.from_counts(lab, tp[lab], fp[lab], fn[lab]) for lab in labels.labels]
+        matched += set(gs.span_bounds).intersection(ps.span_bounds)
+    tp, preds, golds = (Counter(map(operator.itemgetter(2), spans)) for spans in (matched,
+        chain(agreed, *[s.span_bounds for s in pred_diff]), chain(agreed, *[s.span_bounds for s in gold_diff])))
+    per_label = [LabelMetrics.from_counts(lab, tp[lab], preds[lab] - tp[lab], golds[lab] - tp[lab])
+                 for lab in labels.labels]
 
     micro, macro, weighted = aggregate(per_label)
     return EvalReport(
@@ -160,6 +144,9 @@ def _report(agreed: list, gold_diff: list, pred_diff: list, labels: LabelSet | N
 
 
 def evaluate(gold: list[Document], pred: list[Document], labels: LabelSet | None = None) -> EvalReport:
+    """Strict entity-level scores of `pred` against `gold`: a span counts only
+    with its exact label and token range in the same sentence. Spans whose
+    label is not in `labels` (default `LabelSet()`) are not scored."""
     return _report(*_walk(gold, pred), labels)
 
 

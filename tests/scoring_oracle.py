@@ -3,7 +3,9 @@ alignment check, a per-tag span decode and corpus-wide tag lists, each its own
 pass over the documents, with corpus-wide span keys (document, sentence,
 start, end, label). They read only the tokens' texts and tags, never the spans
 a Sentence stores, so tests can check the implementation, which walks once and
-matches each sentence pair's own spans, against them."""
+matches each sentence pair's own spans, against them. The metrics are worked
+out here too, from the counts, with sums taken left to right in label order as
+the implementation takes them, so that its floats can be compared with `==`."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from collections import Counter
 
 from imdner.corpus import Document, LabelSet
 from imdner.errors import AlignmentError
-from imdner.evaluation import AgreementReport, EvalReport, LabelMetrics, aggregate
+from imdner.evaluation import AgreementReport, EvalReport, LabelMetrics
 
 
 def check_alignment(gold: list[Document], pred: list[Document]) -> None:
@@ -55,9 +57,20 @@ def evaluate(gold: list[Document], pred: list[Document], labels: LabelSet | None
     pred_spans = span_sets(pred)
     matched = gold_spans & pred_spans
     tp, fp, fn = (Counter(s[4] for s in spans) for spans in (matched, pred_spans - matched, gold_spans - matched))
-    per_label = [LabelMetrics.from_counts(lab, tp[lab], fp[lab], fn[lab]) for lab in labels.labels]
-    micro, macro, weighted = aggregate(per_label)
-    return EvalReport(tuple(per_label), micro, macro, weighted, sum(m.support for m in per_label))
+    rows = [(lab, *prf(tp[lab], fp[lab], fn[lab]), tp[lab] + fn[lab]) for lab in labels.labels]
+    per_label = tuple(LabelMetrics(lab, p, r, f1, n, tp[lab], fp[lab], fn[lab]) for lab, p, r, f1, n in rows)
+    micro = prf(*(sum(c[lab] for lab in labels.labels) for c in (tp, fp, fn)))
+    support = sum(n for *_, n in rows)
+    macro = tuple(sum(row[i] for row in rows) / len(rows) for i in (1, 2, 3))
+    weighted = tuple(sum(row[i] * row[4] for row in rows) / support if support else 0.0 for i in (1, 2, 3))
+    return EvalReport(per_label, micro, macro, weighted, support)
+
+
+def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 from counts; a zero denominator gives 0.0."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return precision, recall, 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
 def iaa(annotation_a: list[Document], annotation_b: list[Document], labels: LabelSet | None = None) -> AgreementReport:

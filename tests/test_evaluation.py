@@ -173,7 +173,9 @@ def _bio(raw):
     return tags
 
 
-_TAG = st.sampled_from(["O", *(f"{p}-{lab}" for lab in LABELS.labels for p in "BI")])
+# Tags of LABELS, plus those of one label outside it, whose spans must not be scored.
+_UNSCORED = "Other_Test"
+_TAG = st.sampled_from(["O", *(f"{p}-{lab}" for lab in (*LABELS.labels, _UNSCORED) for p in "BI")])
 
 
 @st.composite
@@ -196,9 +198,17 @@ def _aligned_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_one_walk_matches_the_oracles(pair):
     gold, pred = pair
-    assert evaluate(gold, pred, LABELS) == scoring_oracle.evaluate(gold, pred, LABELS)
-    assert iaa(gold, pred, LABELS) == scoring_oracle.iaa(gold, pred, LABELS)
+    report = evaluate(gold, pred, LABELS)
+    assert report == scoring_oracle.evaluate(gold, pred, LABELS)
+    agreement = iaa(gold, pred, LABELS)
+    assert agreement == scoring_oracle.iaa(gold, pred, LABELS)
     assert error_breakdown(gold, pred) == quadratic_error_breakdown(gold, pred)
+    # Spans of a label outside LABELS count in no row and not in micro.
+    golds, preds = (sum(span[4] != _UNSCORED for span in scoring_oracle.span_sets(docs)) for docs in (gold, pred))
+    tp = sum(m.tp for m in report.per_label)
+    assert sum(m.tp + m.fn for m in report.per_label) == golds and sum(m.tp + m.fp for m in report.per_label) == preds
+    assert report.micro == scoring_oracle.prf(tp, preds - tp, golds - tp)
+    assert agreement.entity_f1_a_as_gold == report.micro[2]
 
 
 @pytest.mark.parametrize("gold, pred", [

@@ -74,6 +74,13 @@ class TestExtract:
         with pytest.raises(ValidationError, match="window"):
             RelationRule("Immune_Mediated_Disease", "Symptom", "HAS_SYMPTOM", window)
 
+    @pytest.mark.parametrize("field, value", [("head_label", 5), ("tail_label", b"Symptom"), ("relation_name", 5)])
+    def test_labels_and_relation_must_be_strings(self, field, value):
+        # Edges built from such a rule only fail later, inside export_graph.
+        fields = {"head_label": "Immune_Mediated_Disease", "tail_label": "Symptom", "relation_name": "R", field: value}
+        with pytest.raises(ValidationError, match=field):
+            RelationRule(**fields)
+
     def test_monotone_in_documents(self):
         doc = simple_doc()
         other = Document("e", (sentence([("fatigue", "B-Symptom")]),))

@@ -1,7 +1,8 @@
 """Command-line workflow: split, train, eval, predict, stats, iaa, kg.
 
 Exit codes: 0 success, 1 runtime/data error, 2 usage error. All randomness
-flows from --seed (default 13); repeated runs produce identical artifacts.
+flows from --seed (default 13); repeated runs on one machine, with the same
+BLAS kernel and thread count, produce identical artifacts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .corpus import (
     tokenize_raw,
 )
 from .embeddings import load_embeddings
-from .errors import ConfigError, ImdnerError, SchemaError
+from .errors import ConfigError, ImdnerError, ParseError, SchemaError
 from .network import NetworkConfig
 from .training import TrainConfig
 
@@ -33,8 +34,16 @@ def _read(path) -> bytes:
     return Path(path).read_bytes()
 
 
+def _parsed(path, parse, *args, **kwargs):
+    """parse(the bytes of path, ...), with the file's name on a ParseError."""
+    try:
+        return parse(_read(path), *args, **kwargs)
+    except ParseError as e:
+        raise type(e)(f"{e} ({Path(path).name})") from e
+
+
 def _parse_corpus(path, labels=None):
-    return parse_conll(_read(path), labels, name=Path(path).name)
+    return _parsed(path, parse_conll, labels, name=Path(path).name)
 
 
 def _split_config(overrides: dict):
@@ -65,7 +74,7 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig(**train_kw, seed=args.seed)
 
     labels = LabelSet()
-    table = load_embeddings(_read(args.embeddings))
+    table = _parsed(args.embeddings, load_embeddings)
     net_cfg = NetworkConfig(num_tags=labels.num_tags, word_dim=table.dim, **net_kw)
     print(
         f"training: epochs={train_cfg.epochs} batch_size={train_cfg.batch_size} "
@@ -101,12 +110,11 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = training.load_checkpoint(args.model)
-    data = _read(args.input)
     if args.raw:
-        sentences = tokenize_raw(data)
+        sentences = _parsed(args.input, tokenize_raw)
         docs = [Document("input", tuple(sentences))] if sentences else []
     else:
-        docs = parse_conll(data, ckpt.label_set, name=Path(args.input).name) if data.strip() else []
+        docs = _parse_corpus(args.input, ckpt.label_set)
     predicted = training.predict_documents(ckpt, docs)
     Path(args.out).write_text(serialize_conll(predicted), encoding="utf-8")
     return 0

@@ -13,6 +13,7 @@ import string
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -225,15 +226,12 @@ def tags_to_spans(sentence: Sentence | Sequence[str], sentence_index: int = 0) -
 
 def spans_to_tags(length: int, spans: list[EntitySpan]) -> list[str]:
     """Encode spans as a BIO tag list; inverse of tags_to_spans."""
-    tags = ["O"] * length
-    occupied = [False] * length
+    tags = ["O"] * length  # a placed span writes no "O", so a token still "O" is free
     for s in sorted(spans):
         if s.end > length:
             raise ValidationError(f"span {s} out of bounds for length {length}")
-        if any(occupied[s.start:s.end]):
+        if any(tag != "O" for tag in tags[s.start:s.end]):
             raise ValidationError(f"span {s} overlaps another span")
-        for i in range(s.start, s.end):
-            occupied[i] = True
         tags[s.start] = f"B-{s.label}"
         for i in range(s.start + 1, s.end):
             tags[i] = f"I-{s.label}"
@@ -255,39 +253,28 @@ def decode_text(data: bytes | str) -> str:
 
 def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "corpus") -> list[Document]:
     """Parse CoNLL-style text: one `token<TAB>tag` per line, blank line ends a
-    sentence, a -DOCSTART- line starts a new document."""
+    sentence, a -DOCSTART- line starts a new document. The input ends as if
+    with a -DOCSTART- line that has its last line's number."""
     labels = labels or LabelSet()
-    data = decode_text(data)
+    lines = decode_text(data).split("\n")
     known = {tag: tag for tag in labels.tags}  # so every parsed tag is the label set's own string
 
     groups: list[list[Sentence]] = []
-    cur_sentences: list[Sentence] = []
-    cur_texts: list[str] = []
-    cur_tags: list[str] = []
-
-    def close_sentence(line_no):
-        if cur_texts:
-            try:
-                cur_sentences.append(Sentence._from_columns(tuple(cur_texts), tuple(cur_tags)))
-            except TaggingError as e:
-                raise TaggingError(f"{e} ({name} near line {line_no})") from e
-            cur_texts.clear()
-            cur_tags.clear()
-
-    def close_document():
-        nonlocal cur_sentences
-        if cur_sentences:
-            groups.append(cur_sentences)
-            cur_sentences = []
-
-    line_no = 0
-    for line_no, line in enumerate(data.split("\n"), start=1):
-        if line.strip() == "":
-            close_sentence(line_no)
-            continue
-        if line == DOCSTART:
-            close_sentence(line_no)
-            close_document()
+    sentences: list[Sentence] = []
+    texts: list[str] = []
+    tags: list[str] = []
+    for line_no, line in chain(enumerate(lines, start=1), [(len(lines), DOCSTART)]):
+        if line == DOCSTART or line.strip() == "":
+            if texts:
+                try:
+                    sentences.append(Sentence._from_columns(tuple(texts), tuple(tags)))
+                except TaggingError as e:
+                    raise TaggingError(f"{e} ({name} near line {line_no})") from e
+                texts.clear()
+                tags.clear()
+            if line == DOCSTART and sentences:
+                groups.append(sentences)
+                sentences = []
             continue
         fields = line.split("\t")
         if len(fields) != 2:
@@ -303,10 +290,8 @@ def parse_conll(data: bytes | str, labels: LabelSet | None = None, name: str = "
             _check_text(text)
         except ValidationError as e:
             raise ParseError(str(e), line=line_no) from e
-        cur_texts.append(text)
-        cur_tags.append(tag)
-    close_sentence(line_no)
-    close_document()
+        texts.append(text)
+        tags.append(tag)
 
     if len(groups) == 1:
         return [Document(name, tuple(groups[0]))]

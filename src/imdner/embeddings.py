@@ -19,7 +19,7 @@ class EmbeddingTable:
     stored as their float32 rounding, so a checkpoint holds the table as used.
     Lookup order: exact match, then lowercased match, then unk_vector, a
     float32 zero vector that is not a constructor argument and that no
-    checkpoint stores. Vectors are never trained.
+    checkpoint stores. Vectors are never trained, and both arrays are read-only.
     """
 
     words: tuple[str, ...]
@@ -29,7 +29,8 @@ class EmbeddingTable:
 
     def __post_init__(self):
         self.words = tuple(self.words)
-        self.matrix = np.asarray(self.matrix, dtype=np.float32)
+        self.matrix = np.asarray(self.matrix, dtype=np.float32).view()  # so the caller's array stays writeable
+        self.matrix.flags.writeable = False
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.words):
             raise ValidationError(f"matrix of shape {self.matrix.shape} does not hold {len(self.words)} word vectors")
         self.index = {}
@@ -37,6 +38,7 @@ class EmbeddingTable:
             if not isinstance(word, str) or self.index.setdefault(word, i) != i:
                 raise ValidationError(f"embedding word {i}, {word!r}, is not a string or repeats an earlier word")
         self.unk_vector = np.zeros(self.dim, np.float32)
+        self.unk_vector.flags.writeable = False
 
     @property
     def dim(self) -> int:

@@ -7,6 +7,7 @@ is the lowercased, whitespace-normalized surface form plus its label.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -57,9 +58,9 @@ class EntityGraph:
 
 
 def _mentions(doc: Document) -> dict[str, dict[int, set[str]]]:
-    """label -> sentence index -> the node texts mentioned there. Tokens hold
-    no whitespace, so a span's tokens joined by single spaces are already
-    whitespace-normalized."""
+    """label -> sentence index -> the node texts mentioned there, the indices
+    in ascending order. Tokens hold no whitespace, so a span's tokens joined
+    by single spaces are already whitespace-normalized."""
     by_label: dict[str, dict[int, set[str]]] = {}
     for s, sent in enumerate(doc.sentences):
         texts = sent.texts
@@ -67,13 +68,6 @@ def _mentions(doc: Document) -> dict[str, dict[int, set[str]]]:
             surface = " ".join(texts[start:end]).lower()
             by_label.setdefault(label, {}).setdefault(s, set()).add(surface)
     return by_label
-
-
-def _near(by_sentence: dict[int, set[str]], s: int, window: int):
-    """The text sets of the sentences at most `window` away from sentence s."""
-    if 2 * window + 1 < len(by_sentence):
-        return [by_sentence[t] for t in range(s - window, s + window + 1) if t in by_sentence]
-    return [texts for t, texts in by_sentence.items() if abs(t - s) <= window]
 
 
 def extract_graph(docs: list[Document], rules: list[RelationRule] = DEFAULT_RULES, labels: LabelSet | None = None) -> EntityGraph:
@@ -98,8 +92,9 @@ def extract_graph(docs: list[Document], rules: list[RelationRule] = DEFAULT_RULE
             heads, tails = by_label.get(rule.head_label), by_label.get(rule.tail_label)
             if heads is None or tails is None:
                 continue
+            idx, tail_sets = list(tails), list(tails.values())
             for s, head_texts in heads.items():
-                for tail_texts in _near(tails, s, rule.window):
+                for tail_texts in tail_sets[bisect_left(idx, s - rule.window):bisect_right(idx, s + rule.window)]:
                     edges.update((h, t, r) for h in head_texts for t in tail_texts)
 
     node = {key: Node(*key) for key in nodes}

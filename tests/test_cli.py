@@ -296,6 +296,28 @@ def test_a_bad_tag_is_one_error_line_naming_the_file_and_line(tag, line, tmp_pat
     assert capsys.readouterr().err == line + "\n"
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"a\tb\tO\n", "error: line 1: expected 2 tab-separated fields, got 3: 'a\\tb\\tO' (bad.conll)"),
+    (b"a\xc2\xa0b\tO\n", "error: line 1: token text must be non-empty and whitespace-free: 'a\\xa0b' (bad.conll)"),
+    (b"\xff\tO\n", "error: line 1: not valid UTF-8 (invalid start byte) (bad.conll)"),
+])
+def test_a_parse_error_in_the_second_corpus_names_its_file(data, line, data_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.conll"
+    bad.write_bytes(data)
+    rc = main(["iaa", "--a", str(data_dir / "toy_corpus.conll"), "--b", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_a_parse_error_in_the_vectors_names_their_file(data_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.vec"
+    bad.write_text("fever 0.1 x\n")
+    rc = main(["train", "--corpus", str(data_dir / "toy_corpus.conll"), "--embeddings", str(bad),
+               "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 1: non-numeric vector component: 'fever 0.1 x' (bad.vec)\n"
+
+
 @pytest.mark.parametrize("error, line", [
     (MemoryError("Unable to allocate 763. MiB for an array with shape (20000, 5000) and data type float64"),
      "error: out of memory: Unable to allocate 763. MiB for an array with shape (20000, 5000) and data type float64"),

@@ -153,9 +153,13 @@ class TestParseConll:
         with pytest.raises(TaggingError):
             parse_conll("a\tB-Symptom\nb\tI-Treatment\n")
 
-    def test_bio_error_names_the_token_file_and_sentence_end(self):
-        with pytest.raises(TaggingError, match=r"^I-Symptom follows O at token 1 \(notes\.conll near line 5\)$"):
-            parse_conll("x\tO\n\na\tO\nb\tI-Symptom\n", name="notes.conll")
+    @pytest.mark.parametrize("ending, line", [("", 4), ("\n-DOCSTART-", 5), ("\n \t", 5), ("\n", 5)])
+    def test_bio_error_names_the_token_file_and_sentence_end(self, ending, line):
+        # The end of the input closes the last sentence at the last line, which is the token's own line only
+        # when no newline follows it.
+        message = rf"^I-Symptom follows O at token 1 \(notes\.conll near line {line}\)$"
+        with pytest.raises(TaggingError, match=message):
+            parse_conll("x\tO\n\na\tO\nb\tI-Symptom" + ending, name="notes.conll")
 
     def test_crlf_and_bom_copy_parses_to_the_same_documents(self, data_dir, toy_labels):
         data = data_dir.joinpath("toy_corpus.conll").read_bytes()

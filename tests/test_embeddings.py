@@ -203,6 +203,17 @@ class TestLoadEmbeddings:
         for word in ("fever", "FEVER", "", "🧬", "never-seen-token"):
             assert toy_table.lookup(word).shape == (8,)
 
+    @pytest.mark.parametrize("word", ["fever", "zzz"])
+    def test_a_lookup_cannot_rewrite_the_table(self, word):
+        rows = np.array([[0.5, -1.0, 2.0]], np.float32)
+        table = EmbeddingTable(("fever",), rows)
+        vector = table.lookup(word)
+        with pytest.raises(ValueError, match="read-only"):
+            vector += 7
+        assert np.array_equal(table.lookup("fever"), rows[0])
+        assert np.array_equal(table.lookup("qqq"), np.zeros(3, np.float32))
+        assert rows.flags.writeable
+
 
 class TestLoadEmbeddingsProperties:
     @given(st.lists(st.sampled_from(_EMBEDDING_PIECES), max_size=40).map("".join), st.booleans())

@@ -69,8 +69,8 @@ class TestExtract:
 
     @pytest.mark.parametrize("window", [1.5, True, "2"])
     def test_window_must_be_an_int(self, window):
-        # _near takes its range branch by how many sentences hold a label, so a float window would pass on
-        # some documents and fail on others.
+        # A float window would act as its floor in the bisection, and a str one would fail only on a document
+        # where both labels occur.
         with pytest.raises(ValidationError, match="window"):
             RelationRule("Immune_Mediated_Disease", "Symptom", "HAS_SYMPTOM", window)
 
